@@ -68,6 +68,28 @@ def test_cli_priority_crawl_resumable(tmp_path):
     assert r2["fetched"] >= 120
 
 
+def test_cli_resume_refuses_changed_args(tmp_path):
+    """A re-submit whose graph or crawl args differ from the checkpoint's
+    exits non-zero and names the differing input, instead of resuming a
+    crawl whose state belongs to another graph."""
+    def submit(verb, out, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "texrex_ray", verb, out, *args],
+            capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+
+    out = str(tmp_path / "crawl")
+    assert submit("clarax", out, "--steps", "40", "--walkers", "2", "--hosts", "6").returncode == 0
+    r = submit("clarax", out, "--steps", "60", "--walkers", "2", "--hosts", "7")
+    assert r.returncode != 0 and "graph.hosts: stored" in r.stderr
+    out = str(tmp_path / "prio")
+    args = ("--fetches", "20", "--hosts", "6", "--seeds", "2", "--checkpoint-every", "2")
+    assert submit("priority", out, *args, "--budget", "4").returncode == 0
+    r = submit("priority", out, *args, "--budget", "8")
+    assert r.returncode != 0 and "--budget: stored 4, given 8" in r.stderr
+
+
 def test_cli_harvest_writes_image_table(tmp_path):
     out = str(tmp_path / "h")
     r = _run(

@@ -68,18 +68,32 @@ def cmd_texrex(args) -> dict:
     return {"rows": out.count(), "out": args.out}
 
 
-def _has_committed_checkpoint(out_dir: str) -> bool:
-    import glob as _glob
-    import os as _os
+def _resume(engine_cls, graph, out_dir: str, given: dict, **kw):
+    """The engine resumed from ``out_dir``'s newest committed checkpoint
+    (None when there is none).  Exits when an arg in ``given`` ({flag:
+    (meta key, value)}), the graph or the config differs from the stored."""
+    from texrex_ray.state import commit
 
-    return bool(_glob.glob(_os.path.join(out_dir, "ckpt", "*", "COMMIT")))
+    try:
+        meta = commit.latest(out_dir).meta
+    except FileNotFoundError:
+        return None
+    try:
+        diffs = [f"{flag}: stored {meta[key]!r}, given {v!r}"
+                 for flag, (key, v) in given.items() if meta[key] != v]
+        if diffs:
+            raise ValueError("; ".join(diffs))
+        return engine_cls.resume(graph, out_dir, **kw)
+    except ValueError as e:
+        raise SystemExit(f"cannot resume {out_dir}: {e}") from None
 
 
 def cmd_clarax(args) -> dict:
     """Random-walk crawl over the deterministic synthetic web graph
     (ref program: ClaraX, trwalkers.pas).  Re-submitting with the same
-    OUT dir (and the same graph args) resumes from the last committed
-    checkpoint instead of restarting."""
+    OUT dir resumes from the last committed checkpoint instead of
+    restarting; it exits with an error when the graph or crawl args differ
+    from the checkpoint's."""
     _ray()
     from texrex_ray.crawl.engine import CrawlEngine
     from texrex_ray.crawl.policy import CrawlConfig
@@ -89,10 +103,14 @@ def cmd_clarax(args) -> dict:
         n_hosts=args.hosts, pages_per_host_base=8, n_seeds=args.walkers, seed=args.seed
     )
     cfg = CrawlConfig(url_seen_backend=args.url_seen)
-    resumed = _has_committed_checkpoint(args.out)
-    if resumed:
-        eng = CrawlEngine.resume(g, args.out, config=cfg)
-    else:
+    eng = _resume(
+        CrawlEngine, g, args.out,
+        {"--partitions": ("n_partitions", args.partitions),
+         "--walkers": ("n_walkers", args.walkers), "--seed": ("seed", args.seed)},
+        config=cfg,
+    )
+    resumed = eng is not None
+    if not resumed:
         eng = CrawlEngine(
             g, n_walkers=args.walkers, n_partitions=args.partitions,
             seed=args.seed, out_dir=args.out, config=cfg,
@@ -150,8 +168,9 @@ def cmd_harvest(args) -> dict:
 def cmd_priority(args) -> dict:
     """Degree-biased priority-frontier crawl (the north rule's scheduler
     mode; no reference analogue — ClaraX walks randomly).  Re-submitting
-    with the same OUT dir (and the same graph args) resumes from the
-    last committed checkpoint."""
+    with the same OUT dir resumes from the last committed checkpoint; it
+    exits with an error when the graph or crawl args differ from the
+    checkpoint's."""
     _ray()
     from texrex_ray.crawl.priority import PriorityCrawlEngine
     from texrex_ray.sources.webgraph import make_webgraph
@@ -159,10 +178,13 @@ def cmd_priority(args) -> dict:
     g = make_webgraph(
         n_hosts=args.hosts, pages_per_host_base=8, n_seeds=args.seeds, seed=args.seed
     )
-    resumed = _has_committed_checkpoint(args.out)
-    if resumed:
-        eng = PriorityCrawlEngine.resume(g, args.out)
-    else:
+    eng = _resume(
+        PriorityCrawlEngine, g, args.out,
+        {"--partitions": ("n_partitions", args.partitions),
+         "--budget": ("budget", args.budget)},
+    )
+    resumed = eng is not None
+    if not resumed:
         eng = PriorityCrawlEngine(
             g, n_partitions=args.partitions, budget_per_round=args.budget,
             out_dir=args.out,

@@ -19,9 +19,10 @@ trwalkers.pas:858-997, SURVEY.md §3.2) per the north rule:
   virtual second.  The single-walker projection reproduces the sequential
   oracle's visit order and URL-seen set exactly (tested).
 - **Checkpoint/resume**: every ``checkpoint_every`` rounds each state
-  holder snapshots (walker stacks+RNG, politeness, Bloom bits, metrics)
-  under ``ckpt/round=R/`` with a commit marker; corpus and visit-log rows
-  flush to parquet per checkpoint window (resumable output layout).
+  holder snapshots (walker stacks+RNG, politeness, URL-seen filter,
+  metrics) into one committed checkpoint; corpus and visit-log rows flush
+  to parquet per checkpoint window.  Layout and protocol:
+  ``state/commit.py``, shared with the priority engine.
 
 At real-web scale the fetch stage becomes an HTTP actor pool with
 sessions (same interface); everything else is unchanged.
@@ -29,27 +30,28 @@ sessions (same interface); everything else is unchanged.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 import pickle
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from urllib.parse import urlsplit
+from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from texrex_ray.crawl.fetcher import fetch_parse
+from texrex_ray.crawl.partition import PartitionCore
 from texrex_ray.crawl.policy import CrawlConfig, Walker, split_seeds
 from texrex_ray.functions.hashing import stable_hash64
 from texrex_ray.functions.urlkit import host_of
 from texrex_ray.sources.webgraph import WebGraph
-from texrex_ray.state.urlseen import make_url_seen, restore_url_seen
-from texrex_ray.state.politeness import PolitenessManager
+from texrex_ray.state import commit
+
+# visit-log columns, in the order of the driver's visit_rows tuples
+VISIT_COLUMNS = [
+    ("round", pa.int64()), ("walker_id", pa.int64()), ("url", pa.string()),
+    ("host", pa.string()), ("action", pa.string()), ("cached", pa.bool_()),
+]
 
 
 @dataclass
@@ -189,106 +191,34 @@ class WalkerShardActor:
         }
 
 
-@ray.remote
-class FrontierPartActor:
-    """Politeness + robots + Bloom segment + fetch for one host-hash
-    partition.
+class WalkPartition(PartitionCore):
+    """Politeness + robots + URL-seen + fetch for one host-hash partition.
 
     The whole per-URL sequence — robots refresh, politeness gate, fetch,
-    Bloom first-wins output gating, corpus-row buffering — runs inside ONE
-    actor call per partition per round (``gate_fetch``), so a round costs
-    two driver barriers total (propose + gate_fetch) instead of five.
-    Items are processed in (walker_id, url) order → identical decisions
-    under any physical layout.  Corpus rows stay in the actor and are
-    written as per-partition parquet files (resumable output layout).
+    URL-seen first-wins output gating, corpus-row buffering — runs inside
+    ONE actor call per partition per round (``gate_fetch``), so a round
+    costs two driver barriers total (propose + gate_fetch) instead of
+    five.  Items are processed in (walker_id, url) order → identical
+    decisions under any physical layout.
     """
 
     def __init__(self, part_id: int, robots_map: dict[str, str | None],
-                 pages: dict, cfg: CrawlConfig):
-        self.part_id = part_id
-        self.cfg = cfg
-        self.robots_map = robots_map
-        self.pages = pages
-        self.pm = PolitenessManager(
-            min_politeness=cfg.min_politeness,
-            robots_refresh_interval=cfg.robots_refresh_interval,
-            agent=cfg.agent,
-        )
-        self.bloom = make_url_seen(cfg)  # bloom or cuckoo per config
-        self.metrics: Counter = Counter()
-        self.corpus_buf: list[dict] = []
+                 pages, cfg: CrawlConfig):
+        super().__init__(part_id, robots_map, pages, cfg)
         self.host_fetches: Counter = Counter()
-
-    # -- hot-shard rebalancing (salted repartition, host granularity) ------
 
     def host_load(self) -> dict[str, int]:
         return dict(self.host_fetches)
 
-    def export_host_states(self, hosts: list[str]) -> bytes:
-        """Extract (and drop) per-host politeness state for migration."""
-        out = {}
+    def export_hosts(self, hosts: list[str]) -> dict:
         for h in hosts:
-            st = self.pm.hosts.pop(h, None)
-            if st is not None:
-                out[h] = {
-                    "last_access": st.last_access,
-                    "robots_fetched_at": st.robots_fetched_at,
-                    "disallows": st.robots.disallows if st.robots else None,
-                    "crawl_delay": st.robots.crawl_delay if st.robots else 0,
-                }
             self.host_fetches.pop(h, None)
-        return pickle.dumps(out)
-
-    def import_host_states(self, blob: bytes) -> None:
-        from texrex_ray.state.politeness import HostState, RobotsRules
-
-        for h, s in pickle.loads(blob).items():
-            st = HostState(
-                last_access=s["last_access"], robots_fetched_at=s["robots_fetched_at"]
-            )
-            if s["disallows"] is not None:
-                st.robots = RobotsRules(
-                    disallows=list(s["disallows"]), crawl_delay=s["crawl_delay"]
-                )
-            self.pm.hosts[h] = st
-
-    def export_bloom(self) -> bytes:
-        return pickle.dumps(self.bloom.snapshot())
-
-    def attach_bloom_base(self, blob: bytes) -> None:
-        """Chain another partition's Bloom segments as read-only history.
-
-        Migrated hosts' already-seen URLs live in the source partition's
-        segments; chaining them preserves no-false-negatives (first-wins)
-        at a small false-positive cost — per-host bits cannot be extracted
-        from a Bloom filter.
-        """
-        base = restore_url_seen(pickle.loads(blob))
-        # older segments/tables become read-only history; adds keep going
-        # to the CURRENT tail
-        base.freeze()
-        self.bloom.chain_base(base)
-
-    def _robots_body(self, url: str, host: str) -> str | None:
-        """robots.txt body for ``host``: the broadcast map first (synthetic
-        graphs ship all robots up front), else fetched over the live
-        transport when one is attached — the reference fetches robots over
-        HTTP on the same refresh clock (ref: trpoliteness.pas:164-285).
-        Non-200 (incl. redirect-without-follow) ⇒ no rules, like the
-        reference's missing-robots default."""
-        if host in self.robots_map:
-            return self.robots_map[host]
-        if getattr(self.pages, "fetches_robots", False):
-            sp = urlsplit(url)
-            res = self.pages.get(f"{sp.scheme}://{sp.netloc}/robots.txt")
-            if res is not None and res[0] == 200:
-                return res[1].decode("utf-8", "replace")
-        return None
+        return super().export_hosts(hosts)
 
     def gate_fetch(self, items: list[tuple[int, str, str]], now: int,
                    n_shards: int = 1):
         """Per (walker_id, url, action), in walker-id order: gate through
-        politeness + robots, fetch, Bloom-dedup, buffer corpus rows.
+        politeness + robots, fetch, URL-seen dedup, buffer corpus rows.
 
         Returns ``1 + n_shards`` values (call with
         ``.options(num_returns=1 + n_shards)``): a meta list
@@ -302,12 +232,8 @@ class FrontierPartActor:
         shard_links: list[list[tuple[int, list[str]]]] = [[] for _ in range(n_shards)]
         for wid, url, action in sorted(items):
             host = host_of(url)
-            if self.pm.needs_robots(host, now):
-                self.pm.set_robots(host, self._robots_body(url, host), now)
-                self.metrics["robots_fetches"] += 1
-            w = self.pm.seconds_until_retrieval(url, now)
+            w = self.gate(url, host, now)
             if w < 0:
-                self.metrics["disallowed"] += 1
                 meta.append((wid, "fail", False))
                 shard_links[wid % n_shards].append((wid, "fail", None))
                 continue
@@ -338,7 +264,7 @@ class FrontierPartActor:
                 meta.append((wid, "fail", False))
                 shard_links[wid % n_shards].append((wid, "fail", None))
                 continue
-            is_new = bool(self.bloom.add_if_new([url])[0])
+            is_new = bool(self.add_if_new([url])[0])
             if is_new:
                 self.metrics["outputs"] += 1
                 row = {
@@ -364,123 +290,8 @@ class FrontierPartActor:
             return meta, shard_links[0]
         return (meta, *shard_links)
 
-    def flush_corpus(self, out_dir: str, upto_round: int) -> int:
-        """Write buffered corpus rows to a per-partition parquet file."""
-        if not self.corpus_buf:
-            return 0
-        d = os.path.join(out_dir, "corpus", f"part={self.part_id:04d}")
-        os.makedirs(d, exist_ok=True)
-        rows = self.corpus_buf
-        # pin list-column types: a partition whose rows all have empty lists
-        # would otherwise infer list<null> and break cross-file unification
-        ltypes = {
-            "links": pa.list_(pa.string()),
-            "img_srcs": pa.list_(pa.string()),
-            "img_caps": pa.list_(pa.string()),
-        }
-        t = pa.table(
-            {k: pa.array([r[k] for r in rows], type=ltypes.get(k)) for k in rows[0]}
-        )
-        path = os.path.join(d, f"corpus-r{upto_round:08d}.parquet")
-        pq.write_table(t, path + ".tmp")
-        os.replace(path + ".tmp", path)
-        n = len(rows)
-        self.corpus_buf = []
-        return n
 
-    def drain_corpus(self) -> list[dict]:
-        rows, self.corpus_buf = self.corpus_buf, []
-        return rows
-
-    def buffered_urls(self) -> list[str]:
-        return [r["url"] for r in self.corpus_buf]
-
-    def get_metrics(self) -> dict:
-        return dict(self.metrics)
-
-    def peek_corpus(self, n: int = 1) -> list[dict]:
-        """Last n BUFFERED (not yet flushed) processed docs — the texcomm
-        `peek` verb (ref: trtexrex.pas:739-763).  Text clipped to 400 chars
-        so peeking never ships a full document to the driver."""
-        out = []
-        for r in self.corpus_buf[-n:]:
-            r = dict(r)
-            r["text"] = (r.get("text") or "")[:400]
-            r.pop("links", None)
-            out.append(r)
-        return out
-
-    def reconfigure(self, changes: dict) -> None:
-        for k, v in changes.items():
-            setattr(self.cfg, k, v)
-
-    def snapshot(self) -> bytes:
-        return pickle.dumps(
-            {
-                "politeness": self.pm.snapshot(),
-                "bloom": self.bloom.snapshot(),
-                "metrics": dict(self.metrics),
-                "corpus_buf": self.corpus_buf,
-            }
-        )
-
-    def restore(self, blob: bytes) -> None:
-        snap = pickle.loads(blob)
-        self.pm = PolitenessManager.restore(snap["politeness"])
-        self.bloom = restore_url_seen(snap["bloom"])
-        self.metrics = Counter(snap["metrics"])
-        self.corpus_buf = list(snap.get("corpus_buf", []))
-
-
-def prune_committed_checkpoints(out_dir: str, keep_last: int) -> list[str]:
-    """Shared retention helper (see ``CrawlEngine.prune_checkpoints`` for
-    the contract); used by both crawl engines."""
-    if keep_last < 1:
-        raise ValueError("keep_last must be >= 1")
-    ckroot = os.path.join(out_dir, "ckpt")
-    try:
-        committed = sorted(
-            d for d in os.listdir(ckroot)
-            if os.path.exists(os.path.join(ckroot, d, "COMMIT"))
-        )
-    except FileNotFoundError:
-        return []
-    pruned = []
-    for d in committed[:-keep_last]:
-        path = os.path.join(ckroot, d)
-        os.remove(os.path.join(path, "COMMIT"))  # invisible to resume now
-        shutil.rmtree(path, ignore_errors=True)
-        pruned.append(path)
-    # Torn checkpoints (a crash between the state writes and the COMMIT
-    # marker) are invisible to resume but would otherwise leak their
-    # per-partition state blobs forever: rounds are monotonic, so a torn
-    # round=N directory is never rewritten once a NEWER round committed.
-    # An uncommitted dir >= the newest committed round is left alone — it
-    # may belong to a checkpoint() in flight right now.
-    if committed:
-        newest = committed[-1]
-        for d in os.listdir(ckroot):
-            if d.startswith("round=") and d < newest and d not in committed:
-                path = os.path.join(ckroot, d)
-                shutil.rmtree(path, ignore_errors=True)
-                pruned.append(path)
-    return pruned
-
-
-def latest_committed_checkpoint(out_dir: str) -> str:
-    """Path of the newest COMMITTED checkpoint under ``out_dir``/ckpt;
-    raises FileNotFoundError when none exists (shared by both engines)."""
-    ckroot = os.path.join(out_dir, "ckpt")
-    try:
-        rounds = sorted(
-            d for d in os.listdir(ckroot)
-            if os.path.exists(os.path.join(ckroot, d, "COMMIT"))
-        )
-    except FileNotFoundError:
-        rounds = []
-    if not rounds:
-        raise FileNotFoundError(f"no committed checkpoint under {ckroot}")
-    return os.path.join(ckroot, rounds[-1])
+FrontierPartActor = ray.remote(WalkPartition)
 
 
 def partition_of(
@@ -708,19 +519,19 @@ class CrawlEngine:
                 break
             excess = totals[p_hot] - mean
             hosts_sorted = sorted(loads[p_hot].items(), key=lambda kv: -kv[1])
-            moved_bloom = False
+            moved_seen = False
             for host, load in hosts_sorted:
                 if excess <= 0:
                     break
                 p_cold = int(np.argmin(totals))
                 if p_cold == p_hot:
                     break
-                blob = ray.get(self.parts[p_hot].export_host_states.remote([host]))
-                ray.get(self.parts[p_cold].import_host_states.remote(blob))
-                if not moved_bloom:
-                    bloom_blob = ray.get(self.parts[p_hot].export_bloom.remote())
-                    ray.get(self.parts[p_cold].attach_bloom_base.remote(bloom_blob))
-                    moved_bloom = True
+                state = self.parts[p_hot].export_hosts.remote([host])
+                ray.get(self.parts[p_cold].import_hosts.remote(state))
+                if not moved_seen:
+                    seen = self.parts[p_hot].export_seen.remote()
+                    ray.get(self.parts[p_cold].attach_seen_base.remote(seen))
+                    moved_seen = True
                 new_salt[host] = p_cold
                 totals[p_hot] -= load
                 totals[p_cold] += load
@@ -846,26 +657,9 @@ class CrawlEngine:
 
         Reconstructed from the flushed visits parquet plus the in-memory
         unflushed tail — the driver never holds the whole log."""
-        rows = self._flushed_visit_rows() + self.visit_rows
-        rows.sort(key=lambda r: (r[0], r[1]))
+        flushed = commit.read_visits(self.out_dir, VISIT_COLUMNS) if self.out_dir else []
+        rows = sorted(flushed + self.visit_rows, key=lambda r: (r[0], r[1]))
         return [(i + 1, r[2], r[3], r[4]) for i, r in enumerate(rows)]
-
-    def _flushed_visit_rows(self) -> list[tuple]:
-        if not self.out_dir:
-            return []
-        vd = os.path.join(self.out_dir, "visits")
-        if not os.path.isdir(vd):
-            return []
-        rows: list[tuple] = []
-        for f in sorted(os.listdir(vd)):
-            if not f.endswith(".parquet"):
-                continue
-            t = pq.read_table(os.path.join(vd, f))
-            rows.extend(
-                zip(*(t[c].to_pylist() for c in
-                      ("round", "walker_id", "url", "host", "action", "cached")))
-            )
-        return rows
 
     def url_seen(self) -> set[str]:
         """The Bloom-accepted output set = persisted corpus ∪ actor buffers.
@@ -874,7 +668,7 @@ class CrawlEngine:
         sharded Bloom; every accepted URL has exactly one corpus row, either
         already flushed to parquet or still buffered in its partition actor
         (or drained to ``_corpus_local`` by ``collect_corpus``)."""
-        seen = self._persisted_seen()
+        seen = commit.corpus_urls(self.out_dir) if self.out_dir else set()
         if self.parts:
             for urls in ray.get([p.buffered_urls.remote() for p in self.parts]):
                 seen.update(urls)
@@ -891,199 +685,68 @@ class CrawlEngine:
             self._corpus_local.extend(rows)
         return self._corpus_local
 
-    def _persisted_seen(self) -> set[str]:
-        if not self.out_dir:
-            return set()
-        d = os.path.join(self.out_dir, "corpus")
-        if not os.path.isdir(d):
-            return set()
-        seen = set()
-        for part in os.listdir(d):
-            pd_ = os.path.join(d, part)
-            if not os.path.isdir(pd_):
-                continue
-            for f in os.listdir(pd_):
-                if f.endswith(".parquet"):
-                    seen.update(
-                        pq.read_table(os.path.join(pd_, f), columns=["url"])["url"].to_pylist()
-                    )
-        return seen
-
-    # -- checkpoint / resume ----------------------------------------------
+    # -- checkpoint / resume (protocol: state/commit.py) --------------------
 
     def checkpoint(self) -> str:
+        """Commit walker stacks + RNG, partition state and a lineage
+        manifest as one checkpoint; returns its directory."""
         assert self.out_dir
-        r = self.round
-        ck = os.path.join(self.out_dir, "ckpt", f"round={r:08d}")
-        os.makedirs(ck, exist_ok=True)
         # flush BEFORE snapshotting so restored corpus buffers are empty
         # (no double-write after resume)
         self._flush_outputs()
         shard_blobs = ray.get([s.snapshot.remote() for s in self.shards])
         part_blobs = ray.get([p.snapshot.remote() for p in self.parts])
         part_metrics = ray.get([p.get_metrics.remote() for p in self.parts])
-        for i, b in enumerate(shard_blobs):
-            with open(os.path.join(ck, f"shard-{i}.pkl"), "wb") as f:
-                f.write(b)
-        for i, b in enumerate(part_blobs):
-            with open(os.path.join(ck, f"part-{i}.pkl"), "wb") as f:
-                f.write(b)
         meta = {
             "round": self.round, "steps": self.steps,
             "outputs": self.stats.outputs, "n_walkers": self.n_walkers,
             "n_partitions": self.n_partitions, "n_walker_shards": self.n_walker_shards,
             "seed": self.seed, "salt": self.salt,
+            **commit.run_inputs(self.graph, self.cfg),
         }
-        with open(os.path.join(ck, "meta.json"), "w") as f:
-            json.dump(meta, f)
-        # lineage manifest: which output files each partition owns as of
-        # this checkpoint, plus its live metrics and state-blob sizes —
-        # the audit trail that lets a resumed run (or an operator) account
-        # for every persisted row per partition without opening the blobs
-        # (north-rule: per-partition checkpoints carry frontier snapshots,
-        # bloom segments, and lineage/metrics).
-        def _files(d: str) -> list[str]:
-            try:
-                return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-            except FileNotFoundError:
-                return []
-
-        lineage = {
-            "round": self.round,
-            "visits_files": _files(os.path.join(self.out_dir, "visits")),
-            "partitions": [
-                {
-                    "part_id": i,
-                    "metrics": dict(part_metrics[i]),
-                    "corpus_files": _files(
-                        os.path.join(self.out_dir, "corpus", f"part={i:04d}")
-                    ),
-                    "state_bytes": len(part_blobs[i]),
-                }
-                for i in range(self.n_partitions)
-            ],
-            "shards": [
-                {"shard_id": i, "state_bytes": len(b)}
-                for i, b in enumerate(shard_blobs)
-            ],
-        }
-        with open(os.path.join(ck, "lineage.json"), "w") as f:
-            json.dump(lineage, f)
-        with open(os.path.join(ck, "COMMIT"), "w") as f:
-            f.write("ok")
-        return ck
+        return commit.write_round(
+            self.out_dir, self.round, meta, part_blobs,
+            [{"metrics": m} for m in part_metrics], shard_blobs,
+        )
 
     def prune_checkpoints(self, keep_last: int) -> list[str]:
-        """Delete all but the newest ``keep_last`` COMMITTED checkpoints.
-
-        At frontier scale each checkpoint carries the Bloom/cuckoo
-        segments and frontier snapshots of every partition — retention
-        must be bounded or the checkpoint directory outgrows the corpus.
-        Only committed rounds are counted and only committed rounds are
-        deleted (an in-flight directory without ``COMMIT`` is never
-        touched: it belongs to a concurrent ``checkpoint()``), and the
-        COMMIT marker is removed FIRST so a crash mid-delete leaves a
-        directory that ``resume`` already ignores.  Returns the pruned
-        checkpoint paths.
-        """
+        """Delete all but the newest ``keep_last`` committed checkpoints
+        (``commit.prune``): at frontier scale each one carries every
+        partition's URL-seen filter, so retention must be bounded.
+        Returns the pruned checkpoint paths."""
         assert self.out_dir
-        return prune_committed_checkpoints(self.out_dir, keep_last)
+        return commit.prune(self.out_dir, keep_last)
 
     def _flush_outputs(self) -> None:
-        assert self.out_dir
-        vd = os.path.join(self.out_dir, "visits")
-        cd = os.path.join(self.out_dir, "corpus")
-        os.makedirs(vd, exist_ok=True)
-        os.makedirs(cd, exist_ok=True)
-        if self.visit_rows:
-            rows = self.visit_rows
-            t = pa.table(
-                {
-                    "round": pa.array([r[0] for r in rows], pa.int64()),
-                    "walker_id": pa.array([r[1] for r in rows], pa.int64()),
-                    "url": pa.array([r[2] for r in rows], pa.string()),
-                    "host": pa.array([r[3] for r in rows], pa.string()),
-                    "action": pa.array([r[4] for r in rows], pa.string()),
-                    "cached": pa.array([r[5] for r in rows], pa.bool_()),
-                }
-            )
-            # tmp + os.replace like the corpus path: a crash mid-write never
-            # leaves a torn parquet file behind
-            path = os.path.join(
-                vd, f"visits-r{self.round:08d}-{self._visits_flushed_rows:010d}.parquet"
-            )
-            pq.write_table(t, path + ".tmp")
-            os.replace(path + ".tmp", path)
-            self._visits_flushed_rows += len(rows)
-            self.visit_rows = []  # truncate: driver memory stays O(window)
+        self._visits_flushed_rows += commit.flush_visits(
+            self.out_dir, self.round, self._visits_flushed_rows, self.visit_rows,
+            VISIT_COLUMNS,
+        )
+        self.visit_rows = []  # truncate: driver memory stays O(window)
         ray.get([p.flush_corpus.remote(self.out_dir, self.round) for p in self.parts])
 
     @classmethod
-    def resume(cls, graph: WebGraph, out_dir: str, **kw) -> "CrawlEngine":
-        ck = latest_committed_checkpoint(out_dir)
-        with open(os.path.join(ck, "meta.json")) as f:
-            meta = json.load(f)
-        # Remove output files from rounds BEYOND the restored checkpoint
-        # (a crash between a later flush and its COMMIT leaves orphans that
-        # would otherwise double-count after the resumed run re-produces
-        # them under different flush boundaries).
-        cls._remove_orphan_outputs(out_dir, meta["round"])
-        eng = cls(
-            graph,
-            n_walkers=meta["n_walkers"],
-            n_partitions=meta["n_partitions"],
-            n_walker_shards=meta["n_walker_shards"],
-            seed=meta["seed"],
-            out_dir=out_dir,
-            **kw,
-        )
-        futs = []
-        for i, s in enumerate(eng.shards):
-            with open(os.path.join(ck, f"shard-{i}.pkl"), "rb") as f:
-                futs.append(s.restore.remote(f.read()))
-        for i, p in enumerate(eng.parts):
-            with open(os.path.join(ck, f"part-{i}.pkl"), "rb") as f:
-                futs.append(p.restore.remote(f.read()))
-        ray.get(futs)  # batched: all restores deserialize in parallel
+    def resume(cls, graph: WebGraph, out_dir: str, config: CrawlConfig | None = None,
+               **kw) -> "CrawlEngine":
+        """Continue from the newest committed checkpoint.  ``config``
+        defaults to the stored one; a given config or graph that differs
+        from the stored one raises ValueError."""
+        ck = commit.latest(out_dir)
+        meta = ck.meta
+        config = config or CrawlConfig(**meta["config"])
+        commit.check_inputs(meta, graph, config)
+        commit.remove_orphans(out_dir, meta["round"])
+        eng = cls(graph, n_walkers=meta["n_walkers"], n_partitions=meta["n_partitions"],
+                  n_walker_shards=meta["n_walker_shards"], seed=meta["seed"],
+                  config=config, out_dir=out_dir, **kw)
+        shard_blobs = ck.blobs("shard", eng.n_walker_shards)
+        part_blobs = ck.blobs("part", eng.n_partitions)
+        # batched: all restores deserialize in parallel
+        ray.get([s.restore.remote(b) for s, b in zip(eng.shards, shard_blobs)]
+                + [p.restore.remote(b) for p, b in zip(eng.parts, part_blobs)])
         eng.round = meta["round"]
         eng.steps = meta["steps"]
         eng.stats.outputs = meta["outputs"]
-        eng.salt = dict(meta.get("salt", {}))
-        eng._visits_flushed_rows = eng._count_flushed_visits()
+        eng.salt = dict(meta["salt"])
+        eng._visits_flushed_rows = commit.count_visits(out_dir)
         return eng
-
-    @staticmethod
-    def _remove_orphan_outputs(out_dir: str, upto_round: int) -> None:
-        import re as _re
-
-        rx = _re.compile(r"-r(\d{8})")
-        vd = os.path.join(out_dir, "visits")
-        if os.path.isdir(vd):
-            for f in os.listdir(vd):
-                m = rx.search(f)
-                if f.endswith((".parquet", ".tmp")) and (
-                    f.endswith(".tmp") or (m and int(m.group(1)) > upto_round)
-                ):
-                    os.remove(os.path.join(vd, f))
-        cd = os.path.join(out_dir, "corpus")
-        if os.path.isdir(cd):
-            for part in os.listdir(cd):
-                pd_ = os.path.join(cd, part)
-                if not os.path.isdir(pd_):
-                    continue
-                for f in os.listdir(pd_):
-                    m = rx.search(f)
-                    if f.endswith((".parquet", ".tmp")) and (
-                        f.endswith(".tmp") or (m and int(m.group(1)) > upto_round)
-                    ):
-                        os.remove(os.path.join(pd_, f))
-
-    def _count_flushed_visits(self) -> int:
-        vd = os.path.join(self.out_dir, "visits") if self.out_dir else None
-        if not vd or not os.path.isdir(vd):
-            return 0
-        n = 0
-        for f in os.listdir(vd):
-            if f.endswith(".parquet"):
-                n += pq.read_metadata(os.path.join(vd, f)).num_rows
-        return n

@@ -27,30 +27,23 @@ most once), unlike the walker where the Bloom gates output only.
 from __future__ import annotations
 
 import heapq
-import json
-import os
-import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
+from texrex_ray.crawl.engine import partition_of
 from texrex_ray.crawl.fetcher import ArrowPagesTransport, fetch_parse
+from texrex_ray.crawl.partition import PartitionCore
 from texrex_ray.crawl.policy import CrawlConfig
 from texrex_ray.functions.urlkit import host_of
 from texrex_ray.sources.webgraph import WebGraph
-from texrex_ray.state.urlseen import make_url_seen, restore_url_seen
-from texrex_ray.state.politeness import PolitenessManager
+from texrex_ray.state import commit
 
-from texrex_ray.crawl.engine import (
-    CrawlEngine,
-    latest_committed_checkpoint,
-    partition_of,
-    prune_committed_checkpoints,
-)
+# visit-log columns, in the order of the driver's visit_log tuples
+VISIT_COLUMNS = [("round", pa.int64()), ("url", pa.string()), ("host", pa.string())]
 
 
 @dataclass
@@ -64,33 +57,24 @@ class PriorityStats:
     partition_metrics: dict = field(default_factory=dict)
 
 
-@ray.remote
-class PriorityFrontierActor:
+class PriorityPartition(PartitionCore):
+    """One frontier partition's priority heap on top of the shared
+    partition state."""
+
     def __init__(
         self,
         part_id: int,
         robots_map: dict,
-        pages: dict,
+        pages,
         cfg: CrawlConfig,
         host_scores: dict | None = None,
     ):
-        self.part_id = part_id
-        self.cfg = cfg
-        self.robots_map = robots_map
-        self.pages = pages
+        super().__init__(part_id, robots_map, pages, cfg)
         # static external priority bias per host (e.g. PageRank from a prior
         # crawl); added to the live in-degree so rank dominates when large
         self.host_bias = host_scores or {}
-        self.pm = PolitenessManager(
-            min_politeness=cfg.min_politeness,
-            robots_refresh_interval=cfg.robots_refresh_interval,
-            agent=cfg.agent,
-        )
-        self.seen = make_url_seen(cfg)
         self.heap: list[tuple[int, int, str]] = []  # (-degree, round, url)
         self.host_degree: Counter = Counter()
-        self.metrics: Counter = Counter()
-        self.corpus_buf: list[dict] = []
 
     def enqueue(self, links: list[tuple[str, int]]) -> int:
         """(url, discovered_round) → frontier; returns #accepted.
@@ -102,7 +86,7 @@ class PriorityFrontierActor:
         urls = [u for u, _ in links]
         for h in (host_of(u) for u in urls):
             self.host_degree[h] += 1
-        fresh = self.seen.add_if_new(urls)
+        fresh = self.add_if_new(urls)
         for (url, rnd), new in zip(links, fresh):
             if new:
                 h = host_of(url)
@@ -124,12 +108,8 @@ class PriorityFrontierActor:
             item = heapq.heappop(self.heap)
             _negd, _rnd, url = item
             host = host_of(url)
-            if self.pm.needs_robots(host, now):
-                self.pm.set_robots(host, self.robots_map.get(host), now)
-                self.metrics["robots_fetches"] += 1
-            w = self.pm.seconds_until_retrieval(url, now)
+            w = self.gate(url, host, now)
             if w < 0:
-                self.metrics["disallowed"] += 1
                 continue
             if w > 0 or host in hosts_used:
                 skipped.append(item)
@@ -177,109 +157,42 @@ class PriorityFrontierActor:
         c: Counter = Counter(host_of(u) for _, _, u in self.heap)
         return dict(c)
 
-    def export_hosts(self, hosts: list[str]) -> bytes:
-        """Extract (and drop) everything this partition owns for the given
-        hosts: frontier heap entries, in-degree counters, bias, politeness
-        state.  URL-seen bits cannot be extracted per host — the caller
-        chains a frozen snapshot instead (``attach_seen_base``)."""
+    def export_hosts(self, hosts: list[str]) -> dict:
         hs = set(hosts)
         mine = [it for it in self.heap if host_of(it[2]) in hs]
         self.heap = [it for it in self.heap if host_of(it[2]) not in hs]
         heapq.heapify(self.heap)
-        deg = {h: self.host_degree.pop(h) for h in hosts if h in self.host_degree}
-        bias = {h: self.host_bias[h] for h in hosts if h in self.host_bias}
-        pol = {}
-        for h in hosts:
-            st = self.pm.hosts.pop(h, None)
-            if st is not None:
-                pol[h] = (
-                    st.last_access,
-                    st.robots_fetched_at,
-                    st.robots.disallows if st.robots else None,
-                    st.robots.crawl_delay if st.robots else 0,
-                )
-        return pickle.dumps({"heap": mine, "deg": deg, "bias": bias, "pol": pol})
+        return {
+            **super().export_hosts(hosts),
+            "heap": mine,
+            "deg": {h: self.host_degree.pop(h) for h in hosts if h in self.host_degree},
+            "bias": {h: self.host_bias[h] for h in hosts if h in self.host_bias},
+        }
 
-    def import_hosts(self, blob: bytes) -> None:
-        from texrex_ray.state.politeness import HostState, RobotsRules
-
-        snap = pickle.loads(blob)
-        for it in snap["heap"]:
+    def import_hosts(self, state: dict) -> None:
+        super().import_hosts(state)
+        for it in state["heap"]:
             heapq.heappush(self.heap, tuple(it))
-        self.host_degree.update(snap["deg"])
-        self.host_bias.update(snap["bias"])
-        for h, (la, rf, dis, cd) in snap["pol"].items():
-            st = HostState(last_access=la, robots_fetched_at=rf)
-            if dis is not None:
-                st.robots = RobotsRules(disallows=list(dis), crawl_delay=cd)
-            self.pm.hosts[h] = st
+        self.host_degree.update(state["deg"])
+        self.host_bias.update(state["bias"])
 
-    def export_seen(self) -> bytes:
-        return pickle.dumps(self.seen.snapshot())
+    def _state(self) -> dict:
+        return {
+            **super()._state(),
+            "heap": list(self.heap),
+            "host_degree": dict(self.host_degree),
+            "host_bias": dict(self.host_bias),
+        }
 
-    def attach_seen_base(self, blob: bytes) -> None:
-        """Chain another partition's URL-seen segments as frozen read-only
-        history (no false negatives for migrated hosts; small extra
-        false-positive rate — same trade as the walk engine's
-        ``attach_bloom_base``)."""
-        base = restore_url_seen(pickle.loads(blob))
-        base.freeze()
-        self.seen.chain_base(base)
-
-    def drain_corpus(self) -> list[dict]:
-        rows, self.corpus_buf = self.corpus_buf, []
-        return rows
-
-    def get_metrics(self) -> dict:
-        return dict(self.metrics)
-
-    def flush_corpus(self, out_dir: str, upto_round: int) -> int:
-        """Buffered corpus rows → per-partition round-stamped parquet
-        (same resumable layout + tmp→rename discipline as the walk
-        engine's FrontierPartActor.flush_corpus)."""
-        if not self.corpus_buf:
-            return 0
-        d = os.path.join(out_dir, "corpus", f"part={self.part_id:04d}")
-        os.makedirs(d, exist_ok=True)
-        rows = self.corpus_buf
-        ltypes = {"links": pa.list_(pa.string())}
-        t = pa.table(
-            {k: pa.array([r[k] for r in rows], type=ltypes.get(k)) for k in rows[0]}
-        )
-        path = os.path.join(d, f"corpus-r{upto_round:08d}.parquet")
-        pq.write_table(t, path + ".tmp")
-        os.replace(path + ".tmp", path)
-        n = len(rows)
-        self.corpus_buf = []
-        return n
-
-    def snapshot(self) -> bytes:
-        """Full frontier-partition state: priority heap, in-degree
-        counters, politeness clocks, URL-seen filter, metrics, and any
-        still-buffered corpus rows (empty when the engine flushed before
-        snapshotting, the checkpoint contract)."""
-        return pickle.dumps(
-            {
-                "politeness": self.pm.snapshot(),
-                "seen": self.seen.snapshot(),
-                "heap": list(self.heap),
-                "host_degree": dict(self.host_degree),
-                "host_bias": dict(self.host_bias),
-                "metrics": dict(self.metrics),
-                "corpus_buf": self.corpus_buf,
-            }
-        )
-
-    def restore(self, blob: bytes) -> None:
-        snap = pickle.loads(blob)
-        self.pm = PolitenessManager.restore(snap["politeness"])
-        self.seen = restore_url_seen(snap["seen"])
+    def _load(self, snap: dict) -> None:
+        super()._load(snap)
         self.heap = [tuple(it) for it in snap["heap"]]
         heapq.heapify(self.heap)
         self.host_degree = Counter(snap["host_degree"])
-        self.host_bias = dict(snap.get("host_bias", {}))
-        self.metrics = Counter(snap["metrics"])
-        self.corpus_buf = list(snap.get("corpus_buf", []))
+        self.host_bias = dict(snap["host_bias"])
+
+
+PriorityFrontierActor = ray.remote(PriorityPartition)
 
 
 class PriorityCrawlEngine:
@@ -385,7 +298,7 @@ class PriorityCrawlEngine:
             if checkpoint_every and self.out_dir and self.round % checkpoint_every == 0:
                 self.checkpoint()
                 if keep_checkpoints:
-                    prune_committed_checkpoints(self.out_dir, keep_checkpoints)
+                    commit.prune(self.out_dir, keep_checkpoints)
         stats.fetched = self.fetched - start_fetched
         stats.rounds = self.round - start_round
         stats.elapsed_sec = time.perf_counter() - t0
@@ -431,10 +344,10 @@ class PriorityCrawlEngine:
                 excess -= cnt
             if not hosts:
                 continue
-            blob = ray.get(self.parts[src].export_hosts.remote(hosts))
-            seen_blob = ray.get(self.parts[src].export_seen.remote())
-            ray.get(self.parts[dst].import_hosts.remote(blob))
-            ray.get(self.parts[dst].attach_seen_base.remote(seen_blob))
+            ray.get([
+                self.parts[dst].import_hosts.remote(self.parts[src].export_hosts.remote(hosts)),
+                self.parts[dst].attach_seen_base.remote(self.parts[src].export_seen.remote()),
+            ])
             n_moved = sum(load[h] for h in hosts)
             sizes[src] -= n_moved
             sizes[dst] += n_moved
@@ -443,137 +356,64 @@ class PriorityCrawlEngine:
                 moved[h] = dst
         return moved
 
-    # -- checkpoint / resume ------------------------------------------------
+    # -- checkpoint / resume (protocol: state/commit.py) --------------------
 
     def _flush_outputs(self) -> None:
-        assert self.out_dir
-        vd = os.path.join(self.out_dir, "visits")
-        os.makedirs(vd, exist_ok=True)
-        if self.visit_log:
-            rows = sorted(self.visit_log)
-            t = pa.table(
-                {
-                    "round": pa.array([r[0] for r in rows], pa.int64()),
-                    "url": pa.array([r[1] for r in rows], pa.string()),
-                    "host": pa.array([r[2] for r in rows], pa.string()),
-                }
-            )
-            path = os.path.join(
-                vd, f"visits-r{self.round:08d}-{self._visits_flushed_rows:010d}.parquet"
-            )
-            pq.write_table(t, path + ".tmp")
-            os.replace(path + ".tmp", path)
-            self._visits_flushed_rows += len(rows)
-            self.visit_log = []
+        self._visits_flushed_rows += commit.flush_visits(
+            self.out_dir, self.round, self._visits_flushed_rows, sorted(self.visit_log),
+            VISIT_COLUMNS,
+        )
+        self.visit_log = []
         ray.get([p.flush_corpus.remote(self.out_dir, self.round) for p in self.parts])
 
     def checkpoint(self) -> str:
-        """Per-partition checkpoint: frontier heap + degree counters +
-        politeness + URL-seen snapshots, flushed outputs, a lineage
-        manifest and a COMMIT marker — the north rule's resumable
-        priority frontier (same directory contract as CrawlEngine)."""
+        """Commit every partition's frontier heap, degree counters,
+        politeness and URL-seen state plus a lineage manifest as one
+        checkpoint; returns its directory."""
         assert self.out_dir
-        ck = os.path.join(self.out_dir, "ckpt", f"round={self.round:08d}")
-        os.makedirs(ck, exist_ok=True)
         # flush BEFORE snapshotting so restored corpus buffers are empty
         self._flush_outputs()
         blobs = ray.get([p.snapshot.remote() for p in self.parts])
         metrics = ray.get([p.get_metrics.remote() for p in self.parts])
         sizes = ray.get([p.frontier_size.remote() for p in self.parts])
-        for i, b in enumerate(blobs):
-            with open(os.path.join(ck, f"part-{i}.pkl"), "wb") as f:
-                f.write(b)
         meta = {
             "round": self.round, "fetched": self.fetched,
             "n_partitions": self.n_partitions, "budget": self.budget,
-            "salt": self.salt,
+            "salt": self.salt, **commit.run_inputs(self.graph, self.cfg),
         }
-        with open(os.path.join(ck, "meta.json"), "w") as f:
-            json.dump(meta, f)
-
-        def _files(d: str) -> list[str]:
-            try:
-                return sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-            except FileNotFoundError:
-                return []
-
-        lineage = {
-            "round": self.round,
-            "visits_files": _files(os.path.join(self.out_dir, "visits")),
-            "partitions": [
-                {
-                    "part_id": i,
-                    "metrics": dict(metrics[i]),
-                    "frontier_size": sizes[i],
-                    "corpus_files": _files(
-                        os.path.join(self.out_dir, "corpus", f"part={i:04d}")
-                    ),
-                    "state_bytes": len(blobs[i]),
-                }
-                for i in range(self.n_partitions)
-            ],
-        }
-        with open(os.path.join(ck, "lineage.json"), "w") as f:
-            json.dump(lineage, f)
-        with open(os.path.join(ck, "COMMIT"), "w") as f:
-            f.write("ok")
-        return ck
+        return commit.write_round(
+            self.out_dir, self.round, meta, blobs,
+            [{"metrics": m, "frontier_size": n} for m, n in zip(metrics, sizes)],
+        )
 
     @classmethod
-    def resume(cls, graph: WebGraph, out_dir: str, **kw) -> "PriorityCrawlEngine":
+    def resume(cls, graph: WebGraph, out_dir: str, config: CrawlConfig | None = None,
+               **kw) -> "PriorityCrawlEngine":
         """Resume from the last COMMITTED checkpoint: orphaned post-commit
         output files are removed, partition state restored, and a
         subsequent ``run(max_fetches=N)`` completes the identical crawl
-        (pinned by tests incl. an abrupt actor-kill drill).  Pass the same
-        ``config``/``host_scores`` the original engine used."""
-        ck = latest_committed_checkpoint(out_dir)
-        with open(os.path.join(ck, "meta.json")) as f:
-            meta = json.load(f)
-        CrawlEngine._remove_orphan_outputs(out_dir, meta["round"])
-        eng = cls(
-            graph,
-            n_partitions=meta["n_partitions"],
-            budget_per_round=meta["budget"],
-            out_dir=out_dir,
-            **kw,
-        )
-        futs = []
-        for i, p in enumerate(eng.parts):
-            with open(os.path.join(ck, f"part-{i}.pkl"), "rb") as f:
-                futs.append(p.restore.remote(f.read()))
-        ray.get(futs)  # batched: restores deserialize in parallel
+        (pinned by tests incl. an abrupt actor-kill drill).  ``config``
+        defaults to the stored one; a given config or graph that differs
+        from the stored one raises ValueError."""
+        ck = commit.latest(out_dir)
+        meta = ck.meta
+        config = config or CrawlConfig(**meta["config"])
+        commit.check_inputs(meta, graph, config)
+        commit.remove_orphans(out_dir, meta["round"])
+        eng = cls(graph, n_partitions=meta["n_partitions"], budget_per_round=meta["budget"],
+                  config=config, out_dir=out_dir, **kw)
+        # batched: restores deserialize in parallel
+        ray.get([p.restore.remote(b)
+                 for p, b in zip(eng.parts, ck.blobs("part", eng.n_partitions))])
         eng.round = meta["round"]
         eng.fetched = meta["fetched"]
-        eng.salt = dict(meta.get("salt", {}))
-        eng._visits_flushed_rows = eng._count_flushed_visits()
+        eng.salt = dict(meta["salt"])
+        eng._visits_flushed_rows = commit.count_visits(out_dir)
         return eng
 
-    def _count_flushed_visits(self) -> int:
-        vd = os.path.join(self.out_dir, "visits") if self.out_dir else None
-        if not vd or not os.path.isdir(vd):
-            return 0
-        return sum(
-            pq.read_metadata(os.path.join(vd, f)).num_rows
-            for f in os.listdir(vd)
-            if f.endswith(".parquet")
-        )
-
-    def _flushed_visit_rows(self) -> list[tuple[int, str, str]]:
-        if not self.out_dir:
-            return []
-        vd = os.path.join(self.out_dir, "visits")
-        if not os.path.isdir(vd):
-            return []
-        rows: list[tuple[int, str, str]] = []
-        for f in sorted(os.listdir(vd)):
-            if not f.endswith(".parquet"):
-                continue
-            t = pq.read_table(os.path.join(vd, f))
-            rows.extend(zip(*(t[c].to_pylist() for c in ("round", "url", "host"))))
-        return rows
-
     def visit_order(self) -> list[tuple[int, str, str]]:
-        return sorted(self._flushed_visit_rows() + self.visit_log)
+        flushed = commit.read_visits(self.out_dir, VISIT_COLUMNS) if self.out_dir else []
+        return sorted(flushed + self.visit_log)
 
     def collect_corpus(self) -> list[dict]:
         out: list[dict] = []

@@ -84,6 +84,7 @@ class ScalingBloom:
         self.segments: list[_Segment] = [_Segment(initial_capacity, error_rate)]
         self.out_of_memory = False
         self.n_added = 0
+        self.n_refused = 0  # adds refused once out_of_memory (reported seen)
 
     def _hash_pair(self, items: list[str]) -> tuple[np.ndarray, np.ndarray]:
         # blake2b is C-implemented and threadless — constant sub-µs cost per
@@ -151,6 +152,7 @@ class ScalingBloom:
                 self.n_added += len(chosen)
             else:
                 seen[np.array(chosen)] = True  # refuse adds when OOM
+                self.n_refused += len(chosen)
         return ~seen
 
     # -- chaining (hot-shard migration; cuckoo backend has the same API) ----
@@ -172,6 +174,8 @@ class ScalingBloom:
             "max_memory_bytes": self.max_memory_bytes,
             "growth": self.growth,
             "n_added": self.n_added,
+            "out_of_memory": self.out_of_memory,
+            "n_refused": self.n_refused,
             "segments": [
                 {"capacity": s.capacity, "count": s.count, "arr": s.arr.tobytes()}
                 for s in self.segments
@@ -185,7 +189,8 @@ class ScalingBloom:
         b.max_memory_bytes = snap["max_memory_bytes"]
         b.growth = snap["growth"]
         b.n_added = snap["n_added"]
-        b.out_of_memory = False
+        b.out_of_memory = snap["out_of_memory"]
+        b.n_refused = snap["n_refused"]
         b.segments = []
         for s in snap["segments"]:
             seg = _Segment(s["capacity"], b.error_rate)

@@ -174,6 +174,7 @@ class ScalingCuckoo:
         ]
         self.out_of_memory = False
         self.n_added = 0
+        self.n_refused = 0  # adds refused once out_of_memory (reported seen)
 
     def _buckets_for(self, capacity: int) -> int:
         need = max(1, int(np.ceil(capacity / (self.bucket_size * 0.95))))
@@ -204,7 +205,8 @@ class ScalingCuckoo:
             if self._contains_one(h, fp):
                 continue
             if self.out_of_memory:
-                continue  # refuse adds, report as seen (Bloom parity)
+                self.n_refused += 1  # refuse adds, report as seen (Bloom parity)
+                continue
             if not self.tables[-1].insert(h, fp):
                 new_buckets = self.tables[-1].n_buckets * 2
                 projected = (
@@ -213,6 +215,7 @@ class ScalingCuckoo:
                 )
                 if projected > self.max_memory_bytes:
                     self.out_of_memory = True
+                    self.n_refused += 1
                     continue
                 self.tables.append(
                     _CuckooTable(new_buckets, self.bucket_size, self.max_kicks,
@@ -256,6 +259,8 @@ class ScalingCuckoo:
             "max_kicks": self.max_kicks,
             "fp_bytes": self.fp_bytes,
             "n_added": self.n_added,
+            "out_of_memory": self.out_of_memory,
+            "n_refused": self.n_refused,
             "tables": [
                 {
                     "n_buckets": t.n_buckets,
@@ -278,7 +283,8 @@ class ScalingCuckoo:
         c.max_kicks = snap["max_kicks"]
         c.fp_bytes = snap["fp_bytes"]
         c.n_added = snap["n_added"]
-        c.out_of_memory = False
+        c.out_of_memory = snap["out_of_memory"]
+        c.n_refused = snap["n_refused"]
         c.tables = []
         dtype = np.uint16 if c.fp_bytes == 2 else np.uint32
         for t in snap["tables"]:

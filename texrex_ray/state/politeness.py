@@ -147,22 +147,14 @@ class PolitenessManager:
         host = (urlsplit(url).hostname or "").lower()
         self._host_state(host).last_access = now
 
-    # -- snapshot / restore ------------------------------------------------
+    # -- snapshot / restore / host migration -------------------------------
 
     def snapshot(self) -> dict:
         return {
             "min_politeness": self.min_politeness,
             "robots_refresh_interval": self.robots_refresh_interval,
             "agent": self.agent,
-            "hosts": {
-                h: {
-                    "last_access": st.last_access,
-                    "robots_fetched_at": st.robots_fetched_at,
-                    "disallows": st.robots.disallows if st.robots else None,
-                    "crawl_delay": st.robots.crawl_delay if st.robots else 0,
-                }
-                for h, st in self.hosts.items()
-            },
+            "hosts": {h: _encode(st) for h, st in self.hosts.items()},
         }
 
     @classmethod
@@ -172,7 +164,21 @@ class PolitenessManager:
             robots_refresh_interval=snap["robots_refresh_interval"],
             agent=snap["agent"],
         )
-        for h, s in snap["hosts"].items():
+        pm.import_hosts(snap["hosts"])
+        return pm
+
+    def export_hosts(self, hosts: list[str]) -> dict:
+        """Remove the given hosts' state and return it in the
+        ``snapshot()["hosts"]`` encoding (hot-host migration)."""
+        out = {}
+        for h in hosts:
+            st = self.hosts.pop(h, None)
+            if st is not None:
+                out[h] = _encode(st)
+        return out
+
+    def import_hosts(self, states: dict) -> None:
+        for h, s in states.items():
             st = HostState(
                 last_access=s["last_access"], robots_fetched_at=s["robots_fetched_at"]
             )
@@ -180,5 +186,13 @@ class PolitenessManager:
                 st.robots = RobotsRules(
                     disallows=list(s["disallows"]), crawl_delay=s["crawl_delay"]
                 )
-            pm.hosts[h] = st
-        return pm
+            self.hosts[h] = st
+
+
+def _encode(st: HostState) -> dict:
+    return {
+        "last_access": st.last_access,
+        "robots_fetched_at": st.robots_fetched_at,
+        "disallows": st.robots.disallows if st.robots else None,
+        "crawl_delay": st.robots.crawl_delay if st.robots else 0,
+    }
