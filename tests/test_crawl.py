@@ -284,6 +284,8 @@ def test_salted_rebalance_preserves_order(graph):
     eng.run(max_steps=120)
     assert eng.visit_order() == base.visit_order()
     assert eng.url_seen() == base.url_seen()
+    urls = [r["url"] for r in eng.collect_corpus()]
+    assert len(urls) == len(set(urls))  # every accepted URL output once
 
 
 def test_priority_engine_deterministic_and_degree_biased(graph):

@@ -125,3 +125,53 @@ def test_url_seen_refusals_are_counted_and_restored(graph, pages):
     links = [(f"http://host0.tld0/fresh{i}", 9) for i in range(5)]
     assert b.enqueue(links) == a.enqueue(links) == 0
     assert b.get_metrics()["url_seen_refused"] == refused + 5
+
+
+def _n_segments(f) -> int:
+    """Own plus chained-history segments (Bloom) or tables (cuckoo)."""
+    own = f.segments if f.kind == "bloom" else f.tables
+    return len(own) + sum(len(parts) for _, parts in f.history.values())
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+def test_url_seen_history_keyed_by_origin(graph, pages, backend):
+    """Repeated hot-host rebalances re-attach the same source filter: each
+    attach replaces that origin's older copy instead of stacking another,
+    and chained history stays outside the receiving filter's memory cap."""
+    src = WalkPartition(1, graph.robots, pages, CrawlConfig(
+        url_seen_backend=backend, bloom_initial_capacity=64))
+    old = [f"http://h/{i}" for i in range(20_000)]
+    for i in range(0, len(old), 64):  # crawl-sized batches fill segments evenly
+        src.add_if_new(old[i:i + 64])
+    dst = _walk(graph, pages, CrawlConfig(
+        url_seen_backend=backend, bloom_initial_capacity=64,
+        bloom_max_memory_mb=0.05))
+    dst.attach_seen_base(src.export_seen())
+    once = _n_segments(dst.seen)
+    for _ in range(4):
+        dst.attach_seen_base(src.export_seen())
+    assert _n_segments(dst.seen) == once
+    assert src.seen.memory_bytes > dst.seen.max_memory_bytes  # history > cap
+    assert dst.seen.contains_many(old).all()
+    fresh = [f"http://h/new{i}" for i in range(2000)]
+    assert dst.add_if_new(fresh).all()
+    assert dst.seen.n_refused == 0 and not dst.seen.out_of_memory
+    assert dst.get_metrics().get("url_seen_refused", 0) == 0
+    # the history survives a checkpoint round trip
+    back = restore_url_seen(dst.seen.snapshot())
+    assert _n_segments(back) == _n_segments(dst.seen)
+    assert back.contains_many(old[:100] + fresh[:100]).all()
+
+
+@pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
+def test_url_seen_full_filter_warns_once(backend, caplog):
+    cfg = CrawlConfig(
+        url_seen_backend=backend, bloom_initial_capacity=64, bloom_max_memory_mb=0
+    )
+    f = make_url_seen(cfg)
+    with caplog.at_level("WARNING"):
+        f.add_if_new([f"http://h/{i}" for i in range(600)])
+        f.add_if_new([f"http://h/more{i}" for i in range(600)])
+    assert f.n_refused > 600
+    warnings = [r for r in caplog.records if "refusing adds" in r.getMessage()]
+    assert len(warnings) == 1

@@ -50,7 +50,7 @@ def test_quantile_convention_edge_cases():
 def test_hll_registers_mergeable():
     """Register vectors are a mergeable sketch: regs(A ∪ B) == max(regs(A), regs(B))
     — the property that lets per-batch partials combine via groupby().Max."""
-    from texrex_ray.pipelines.queries import hll_estimate, hll_registers
+    from texrex_ray.pipelines.queries.flagships import hll_estimate, hll_registers
 
     items = [f"item-{i * 37}" for i in range(5000)]
     whole = hll_registers(items)
@@ -125,7 +125,8 @@ def _docs_as_dir(tmp_path, n_files, interleave=False):
 
 
 def test_prefix_pack_matches_serial_recompute(ray_session):
-    from texrex_ray.pipelines.queries import PACK_BUDGET, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.flagships import PACK_BUDGET
 
     got = QUERIES["q50_prefix_pack"](SF)
     t = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "n_chars"])
@@ -196,7 +197,8 @@ def test_group_sample_layout_invariant_and_uniform(ray_session, tmp_path):
     """Bottom-k-by-hash: winners are a set property of the group, so the
     sample is identical across physical layouts; per-group size is
     min(k, group size)."""
-    from texrex_ray.pipelines.queries import SAMPLE_K, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.flagships import SAMPLE_K
 
     single = QUERIES["q52_group_sample"](SF)
     multi = QUERIES["q52_group_sample"](_docs_as_dir(tmp_path, 5))
@@ -235,7 +237,7 @@ def test_star_join_matches_pandas(ray_session):
 
 def test_cms_never_underestimates_and_merges():
     """Count-min guarantees: estimate ≥ true count; partials merge by +."""
-    from texrex_ray.pipelines.queries import cms_estimate, cms_partial
+    from texrex_ray.pipelines.queries.flagships import cms_estimate, cms_partial
 
     rng = np.random.default_rng(13)
     keys = [str(k) for k in rng.integers(0, 200, 5000)]
@@ -253,7 +255,8 @@ def test_cms_never_underestimates_and_merges():
 
 
 def test_heavy_hitters_exact_vs_duckdb(ray_session):
-    from texrex_ray.pipelines.queries import HH_THRESHOLD, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.flagships import HH_THRESHOLD
 
     got = QUERIES["q56_heavy_hitters"](SF)
     want = duckdb.sql(
@@ -300,7 +303,8 @@ def test_decontaminate_matches_bruteforce(ray_session):
     hash64 membership must introduce zero collisions at this scale."""
     import re
 
-    from texrex_ray.pipelines.queries import DECON_N, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.flagships import DECON_N
 
     got = QUERIES["q59_decontaminate"](SF)
     tok = re.compile(r"[a-z]+")

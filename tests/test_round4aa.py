@@ -51,8 +51,10 @@ def test_prefix_scan_max_layout_invariant(ray_session):
 # ------------------------------------------------------------------- q243
 
 def test_late_events_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        _ARR_MOD, _ARR_SHIFT, LATENESS_US, PPM, QUERIES,
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import (
+        _ARR_MOD, _ARR_SHIFT, LATENESS_US,
     )
 
     got = QUERIES["q243_late_events"](SF)
@@ -89,7 +91,8 @@ def test_late_events_matches_serial(ray_session):
 # ------------------------------------------------------------------- q244
 
 def test_frontcoding_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q244_url_frontcoding"](SF)
     edges = pd.read_parquet(EDGES)
@@ -120,7 +123,8 @@ def test_frontcoding_matches_serial(ray_session):
 # ------------------------------------------------------------------- q245
 
 def test_postings_runs_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q245_postings_runs"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

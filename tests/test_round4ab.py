@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q319
 
 def test_q17_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q17_BRAND, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q17_BRAND
 
     got = QUERIES["q319_small_qty_revenue"](SF).iloc[0]
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -31,7 +32,8 @@ def test_q17_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q320
 
 def test_q18_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q18_QTY_C, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q18_QTY_C
 
     got = QUERIES["q320_large_volume_orders"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -56,9 +58,8 @@ def test_q18_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q321
 
 def test_q4_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        Q4_HI, Q4_LATE_DAYS, Q4_LO, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q4_HI, Q4_LATE_DAYS, Q4_LO
 
     got = QUERIES["q321_priority_exists"](SF)
     o = pd.read_parquet(f"{SF}/orders.parquet")

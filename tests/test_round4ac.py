@@ -15,9 +15,8 @@ def _vol_c(df: pd.DataFrame) -> pd.Series:
 # ------------------------------------------------------------------- q322
 
 def test_q11_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        Q11_MEAN_DEN, Q11_MEAN_NUM, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q11_MEAN_DEN, Q11_MEAN_NUM
 
     got = QUERIES["q322_important_stock"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -41,7 +40,8 @@ def test_q11_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q323
 
 def test_q15_matches_pandas_twin_and_returns_all_ties(ray_session):
-    from texrex_ray.pipelines.queries import Q15_HI, Q15_LO, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q15_HI, Q15_LO
 
     got = QUERIES["q323_top_supplier"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -59,9 +59,8 @@ def test_q15_matches_pandas_twin_and_returns_all_ties(ray_session):
 # ------------------------------------------------------------------- q324
 
 def test_q22_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        Q22_CUTOFF, Q22_NATIONS, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q22_CUTOFF, Q22_NATIONS
 
     got = QUERIES["q324_dormant_rich"](SF)
     c = pd.read_parquet(f"{SF}/customer.parquet")

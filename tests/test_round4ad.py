@@ -9,7 +9,7 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q325
 
 def test_bpe_textbook_example(ray_session):
-    from texrex_ray.pipelines.queries import _bpe_merges
+    from texrex_ray.pipelines.queries.census_b import _bpe_merges
 
     # the Sennrich paper's toy: low/lower/newest/widest
     wf = {"low": 5, "lower": 2, "newest": 6, "widest": 3}
@@ -25,7 +25,8 @@ def test_bpe_textbook_example(ray_session):
 
 
 def test_bpe_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import BPE_MERGES, QUERIES, _bpe_merges
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import BPE_MERGES, _bpe_merges
 
     got = QUERIES["q325_bpe_merges"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
@@ -45,7 +46,8 @@ def test_bpe_query_matches_serial(ray_session):
 # ------------------------------------------------------------------- q326
 
 def test_knn_noise_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import KNN_NOISE_K, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import KNN_NOISE_K
 
     got = QUERIES["q326_knn_label_noise"](SF)
     emb = pd.read_parquet(f"{SF}/embeddings.parquet")

@@ -11,7 +11,8 @@ EDGES = "/root/repo/tests/fixtures/oracle/pagerank_edges.parquet"
 # ------------------------------------------------------------------- q328
 
 def test_lt_cascade_monotone_and_matches_fixture(ray_session):
-    from texrex_ray.pipelines.queries import LT_SEEDS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import LT_SEEDS
 
     got = QUERIES["q328_lt_cascade"](SF)
     fx = pd.read_parquet(
@@ -27,7 +28,7 @@ def test_lt_cascade_monotone_and_matches_fixture(ray_session):
 
 
 def test_lt_thresholds_deterministic(ray_session):
-    from texrex_ray.pipelines.queries import _lt_thresholds
+    from texrex_ray.pipelines.queries.census_b import _lt_thresholds
 
     t1 = _lt_thresholds(["a", "b", "c"])
     t2 = _lt_thresholds(["c", "a", "b"])

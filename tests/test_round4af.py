@@ -9,9 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q331
 
 def test_kmeans_query_matches_scalar_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        KMEANS_ITERS, KMEANS_K, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import KMEANS_ITERS, KMEANS_K
 
     got = QUERIES["q331_price_kmeans"](SF)
     vals = [
@@ -57,7 +56,8 @@ def test_kmeans_query_matches_scalar_twin(ray_session):
 
 def test_shuffle_adjacency_matches_sql_order_twin(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import QUERIES, SHUFFLE_AUDIT_SALT
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import SHUFFLE_AUDIT_SALT
 
     got = QUERIES["q332_shuffle_adjacency"](SF).iloc[0]
     docs = pd.read_parquet(f"{SF}/documents.parquet",
@@ -81,7 +81,7 @@ def test_shuffle_adjacency_matches_sql_order_twin(ray_session):
 def test_drr_unit_schedule(ray_session):
     """Hand-checkable DRR: quantum 1000, two flows; the big-item flow
     must bank deficit across rounds before serving."""
-    from texrex_ray.pipelines.queries import _drr_run
+    from texrex_ray.pipelines.queries.census_b import _drr_run
 
     rows = _drr_run({"a": [500, 500, 500], "b": [2500]})
     d = {r[0]: r for r in rows}
@@ -98,9 +98,8 @@ def test_drr_unit_schedule(ray_session):
 def test_drr_query_matches_deque_twin(ray_session):
     from collections import deque
 
-    from texrex_ray.pipelines.queries import (
-        DRR_QUANTUM_C, DRR_ROUNDS, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import DRR_QUANTUM_C, DRR_ROUNDS
 
     got = QUERIES["q333_deficit_round_robin"](SF)
     ev = pd.read_parquet(

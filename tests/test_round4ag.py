@@ -15,7 +15,8 @@ def _vol_c(df: pd.DataFrame) -> pd.Series:
 # ------------------------------------------------------------------- q334
 
 def test_q6_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q6_HI, Q6_LO, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q6_HI, Q6_LO
 
     got = QUERIES["q334_forecast_revenue"](SF).iloc[0]
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -36,9 +37,8 @@ def test_q6_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q335
 
 def test_q10_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        Q10_HI, Q10_LO, Q10_TOPK, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q10_HI, Q10_LO, Q10_TOPK
 
     got = QUERIES["q335_returned_items"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -70,7 +70,8 @@ def test_q10_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q336
 
 def test_q19_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q19_ARMS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q19_ARMS
 
     got = QUERIES["q336_disjunctive_revenue"](SF).iloc[0]
     li = pd.read_parquet(f"{SF}/lineitem.parquet")

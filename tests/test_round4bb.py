@@ -35,9 +35,9 @@ def test_prefix_scan_sum_exact_and_layout_invariant(ray_session):
 # ------------------------------------------------------------------- q246
 
 def test_interval_coverage_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        COVER_WINDOW_US, PPM, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import COVER_WINDOW_US
 
     got = QUERIES["q246_interval_coverage"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -73,7 +73,8 @@ def test_interval_coverage_matches_serial(ray_session):
 # ------------------------------------------------------------------- q247
 
 def test_html_depth_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import VOID_TAGS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import VOID_TAGS
     from texrex_ray.sources.webgraph import make_webgraph
 
     got = QUERIES["q247_html_depth"](SF)
@@ -113,7 +114,8 @@ def test_html_depth_matches_serial(ray_session):
 # ------------------------------------------------------------------- q248
 
 def test_budget_selection_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q248_budget_selection"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

@@ -113,7 +113,8 @@ def test_weighted_sample_matches_direct_recompute(ray_session):
 
     import pyarrow.parquet as pq
 
-    from texrex_ray.pipelines.queries import QUERIES, WSAMPLE_K
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.corpus_ops import WSAMPLE_K
 
     sf = "/root/testdata/sf0.001"
     got = QUERIES["q130_weighted_sample"](sf)
@@ -355,7 +356,8 @@ def test_topm_summary_upper_bound_and_exactness(ray_session):
 
 
 def test_proportional_sample_budget_exact(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, STRAT_BUDGET
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.corpus_ops import STRAT_BUDGET
 
     got = QUERIES["q136_proportional_sample"]("/root/testdata/sf0.001")
     assert len(got) == STRAT_BUDGET  # Hamilton quotas sum EXACTLY

@@ -39,9 +39,9 @@ def test_state_sizing_matches_serial(ray_session):
 # ------------------------------------------------------------------- q250
 
 def test_aa_drift_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        CHI_BIN_W, CHI_BINS, PPM, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.census_a import CHI_BIN_W, CHI_BINS
 
     got = QUERIES["q250_aa_drift_calibration"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

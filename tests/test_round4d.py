@@ -80,7 +80,9 @@ def test_outer_join_matches_pandas(ray_session):
 
 def test_kmv_matches_serial_recompute(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import KMV_K, QUERIES, _TOKEN_RE
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import KMV_K
+    from texrex_ray.pipelines.queries.flagships import _TOKEN_RE
 
     got = QUERIES["q144_kmv_distinct"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -131,7 +133,8 @@ def _snm_serial(docs: pd.DataFrame, w: int) -> set[tuple]:
 
 
 def test_sorted_neighborhood_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, SNM_W
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import SNM_W
 
     got = QUERIES["q145_sorted_neighborhood"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -169,8 +172,9 @@ def test_morton_code_interleave():
 # ------------------------------------------------------------------- q147
 
 def test_dbscan_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        DBSCAN_DEN, DBSCAN_MINPTS, DBSCAN_NUM, DBSCAN_SCALE, QUERIES,
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import (
+        DBSCAN_DEN, DBSCAN_MINPTS, DBSCAN_NUM, DBSCAN_SCALE,
     )
 
     got = QUERIES["q147_embed_dbscan"](SF)
@@ -223,7 +227,8 @@ def test_chi2_matches_serial(ray_session):
     import re
     from collections import Counter
 
-    from texrex_ray.pipelines.queries import CHI2_SCALE, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import CHI2_SCALE
 
     got = QUERIES["q148_source_divergence"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -252,7 +257,7 @@ def test_audio_fingerprint_recovers_twins(ray_session):
     import ray.data as rd
 
     from texrex_ray.dedup.lsh import hamming_pairs
-    from texrex_ray.pipelines.queries import AUDIO_FP_TWIN
+    from texrex_ray.pipelines.queries.analytics_a import AUDIO_FP_TWIN
     from texrex_ray.sources.av import fixture_path
     from texrex_ray.stages.av import AudioFingerprint
 
@@ -298,7 +303,8 @@ def test_audio_fp_fixture_fresh(ray_session):
 def test_phrase_search_matches_serial(ray_session):
     import re
 
-    from texrex_ray.pipelines.queries import PHRASE, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PHRASE
 
     got = QUERIES["q150_phrase_search"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

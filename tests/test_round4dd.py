@@ -10,7 +10,8 @@ VISITS = "/root/repo/tests/fixtures/oracle/crawl_visits_sf0.01.parquet"
 # ------------------------------------------------------------------- q252
 
 def test_nation_flows_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import FLOW_TOPK, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import FLOW_TOPK
 
     got = QUERIES["q252_nation_flows"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -89,7 +90,8 @@ def test_crawl_action_mix_matches_serial(ray_session):
 # ------------------------------------------------------------------- q254
 
 def test_segment_priority_lift_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q254_segment_priority_lift"](SF)
     orders = pd.read_parquet(f"{SF}/orders.parquet")

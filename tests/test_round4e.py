@@ -14,7 +14,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q151
 
 def test_cohort_retention_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, WEEK_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import WEEK_US
 
     got = QUERIES["q151_cohort_retention"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -37,7 +38,7 @@ def test_cohort_retention_matches_serial(ray_session):
 # ------------------------------------------------------------------- q152
 
 def _gini_direct(values: list[int]) -> int:
-    from texrex_ray.pipelines.queries import GINI_SCALE
+    from texrex_ray.pipelines.queries.analytics_a import GINI_SCALE
 
     xs = sorted(values)
     n = len(xs)
@@ -60,7 +61,7 @@ def test_grouped_gini_matches_direct(ray_session):
 
 def test_gini_histogram_rank_fold_analytic():
     # equal values -> perfect equality -> 0; one user owns all -> (n-1)/n
-    from texrex_ray.pipelines.queries import GINI_SCALE
+    from texrex_ray.pipelines.queries.analytics_a import GINI_SCALE
 
     assert _gini_direct([5, 5, 5, 5]) == 0
     n = 10
@@ -221,7 +222,8 @@ def test_pq_fixture_fresh(ray_session):
 
 def test_kmv_intersection_matches_serial(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import KMV_K, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import KMV_K
 
     got = QUERIES["q155_kmv_intersection"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -248,7 +250,8 @@ def test_kmv_intersection_matches_serial(ray_session):
 # ------------------------------------------------------------------- q156
 
 def test_event_transitions_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q156_event_transitions"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(
@@ -279,7 +282,8 @@ def test_event_transitions_matches_serial(ray_session):
 def test_rrf_fusion_matches_serial(ray_session):
     from texrex_ray.dedup.embed import knn_bruteforce
     from texrex_ray.dedup.pq import pq_sequential
-    from texrex_ray.pipelines.queries import PPM, RRF_K, RRF_TOPK, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM, RRF_K, RRF_TOPK
 
     got = QUERIES["q157_rrf_fusion"](SF)
     emb = pd.read_parquet(f"{SF}/embeddings.parquet")
@@ -314,7 +318,8 @@ def test_rrf_fusion_matches_serial(ray_session):
 # ------------------------------------------------------------------- q158
 
 def test_cocitation_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import COCITE_CAP, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import COCITE_CAP
 
     got = QUERIES["q158_cocitation"](SF)
     df = pd.read_parquet("/root/repo/tests/fixtures/oracle/pagerank_edges.parquet")
@@ -341,7 +346,8 @@ def test_cocitation_matches_serial(ray_session):
 def test_lexical_hhi_matches_serial(ray_session):
     from collections import Counter
 
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q159_lexical_hhi"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -365,7 +371,8 @@ def test_lexical_hhi_matches_serial(ray_session):
 # ------------------------------------------------------------------- q160
 
 def test_burstiness_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q160_burstiness"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(

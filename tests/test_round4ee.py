@@ -11,7 +11,8 @@ VISITS = "/root/repo/tests/fixtures/oracle/crawl_visits_sf0.01.parquet"
 # ------------------------------------------------------------------- q255
 
 def test_crawl_coverage_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q255_crawl_coverage"](SF)
     edges = pd.read_parquet(G42_EDGES)
@@ -92,7 +93,8 @@ def test_dup_cluster_sizes_matches_serial(ray_session):
 # ------------------------------------------------------------------- q257
 
 def test_dedup_burden_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     pairs = QUERIES["q11_near_dup_pairs"](SF)
     got = QUERIES["q257_dedup_burden"](SF)

@@ -12,7 +12,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q161
 
 def test_ks_drift_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q161_ks_drift"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -34,7 +35,7 @@ def test_ks_drift_matches_serial(ray_session):
 def test_ks_identical_halves_is_zeroish(ray_session):
     # a source compared against a COPY of itself has KS 0 by construction;
     # sanity for the cross-multiplied numerator: identical ECDFs cancel
-    from texrex_ray.pipelines.queries import PPM
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     xs = np.array([3, 5, 5, 9, 9, 9])
     # cs*nr - cr*ns with mine == rest
@@ -47,9 +48,8 @@ def test_ks_identical_halves_is_zeroish(ray_session):
 # ------------------------------------------------------------------- q162
 
 def test_decayed_activity_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        DECAY_MAX_SHIFT, PPM, QUERIES, WEEK_US,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import DECAY_MAX_SHIFT, PPM, WEEK_US
 
     got = QUERIES["q162_decayed_activity"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -74,7 +74,8 @@ def test_decayed_activity_matches_serial(ray_session):
 def test_minhash_audit_matches_serial(ray_session):
     from texrex_ray.functions.rabin import rabin_minhash_signatures
     from texrex_ray.functions.tokenize import LATIN_TOKEN_RE
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q163_minhash_audit"](SF)
     assert len(got) > 0
@@ -125,7 +126,8 @@ def test_minhash_sigs_fixture_fresh():
 # ------------------------------------------------------------------- q164
 
 def test_join_estimate_audit_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, _doc_bucket
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.flagships import _doc_bucket
 
     got = QUERIES["q164_join_estimate_audit"](SF)
     o = pd.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey"])
@@ -176,7 +178,8 @@ def test_band_join_matches_bruteforce(ray_session):
 
 
 def test_band_join_query_matches_sql_twin(ray_session):
-    from texrex_ray.pipelines.queries import BAND_DELTA_C, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import BAND_DELTA_C
 
     got = QUERIES["q165_band_join"](SF)
     o = pd.read_parquet(f"{SF}/orders.parquet")
@@ -243,7 +246,8 @@ def test_skyline_layout_invariant(ray_session):
 # ------------------------------------------------------------------- q167
 
 def test_deadline_conversion_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import CONVERT_WINDOW_US, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import CONVERT_WINDOW_US
 
     got = QUERIES["q167_deadline_conversion"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -290,7 +294,8 @@ def test_winsorized_mean_matches_serial(ray_session):
 # ------------------------------------------------------------------- q169
 
 def test_link_prediction_matches_bruteforce(ray_session):
-    from texrex_ray.pipelines.queries import LINKPRED_MIN_CN, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import LINKPRED_MIN_CN, PPM
 
     got = QUERIES["q169_link_prediction"]("/root/testdata/sf0.001")
     df = pd.read_parquet(
@@ -327,7 +332,8 @@ def test_link_prediction_matches_bruteforce(ray_session):
 def test_source_cosine_matches_serial(ray_session):
     from collections import Counter
 
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q170_source_cosine"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -351,7 +357,8 @@ def test_source_cosine_matches_serial(ray_session):
 def test_zipf_head_matches_serial(ray_session):
     from collections import Counter
 
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q171_zipf_head"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -369,7 +376,8 @@ def test_zipf_head_matches_serial(ray_session):
 # ------------------------------------------------------------------- q172
 
 def test_assortativity_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q172_assortativity"](SF)
     df = pd.read_parquet(
@@ -423,7 +431,8 @@ def test_hub_robustness_fragments_synthetic(ray_session):
 
 
 def test_hub_robustness_query_matches_unionfind(ray_session):
-    from texrex_ray.pipelines.queries import HUBS_REMOVED, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import HUBS_REMOVED
 
     got = QUERIES["q173_hub_robustness"](SF)
     df = pd.read_parquet(
@@ -464,9 +473,8 @@ def test_hub_robustness_query_matches_unionfind(ray_session):
 # ------------------------------------------------------------------- q174
 
 def test_token_bucket_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        QUERIES, TB_CAP_US, TB_PERIOD_US,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import TB_CAP_US, TB_PERIOD_US
 
     got = QUERIES["q174_token_bucket"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(
@@ -495,7 +503,7 @@ def test_token_bucket_matches_serial(ray_session):
 
 def test_token_bucket_burst_semantics():
     # 2-token burst: 3 back-to-back events -> exactly one throttled
-    from texrex_ray.pipelines.queries import TB_CAP_US, TB_PERIOD_US
+    from texrex_ray.pipelines.queries.analytics_a import TB_CAP_US, TB_PERIOD_US
 
     tok, thr = TB_CAP_US, 0
     for _ in range(3):
@@ -509,7 +517,8 @@ def test_token_bucket_burst_semantics():
 # ------------------------------------------------------------------- q175
 
 def test_range_partition_plan_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, RANGE_PARTS
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import RANGE_PARTS
 
     got = QUERIES["q175_range_partition_plan"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -538,7 +547,8 @@ def test_range_partition_plan_matches_serial(ray_session):
 # ------------------------------------------------------------------- q176
 
 def test_k_anonymity_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import KANON_K, QUERIES, WEEK_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import KANON_K, WEEK_US
 
     got = QUERIES["q176_k_anonymity"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -563,9 +573,8 @@ def test_k_anonymity_matches_serial(ray_session):
 # ------------------------------------------------------------------- q177
 
 def test_periodicity_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        ACF_MAX_LAG, HOUR_US, PPM, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import ACF_MAX_LAG, HOUR_US, PPM
 
     got = QUERIES["q177_periodicity"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -590,7 +599,8 @@ def test_periodicity_matches_serial(ray_session):
 # ------------------------------------------------------------------- q178
 
 def test_cusum_changepoint_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import DAY_US, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import DAY_US
 
     got = QUERIES["q178_cusum_changepoint"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -613,7 +623,8 @@ def test_cusum_changepoint_matches_serial(ray_session):
 # ------------------------------------------------------------------- q179
 
 def test_bounce_rate_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES, WEEK_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM, WEEK_US
 
     got = QUERIES["q179_bounce_rate"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(
@@ -648,7 +659,8 @@ def test_bounce_rate_matches_serial(ray_session):
 
 def test_random_failure_matches_unionfind(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import FAIL_PCT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import FAIL_PCT
 
     got = QUERIES["q180_random_failure"](SF)
     df = pd.read_parquet(
@@ -687,7 +699,8 @@ def test_random_failure_matches_unionfind(ray_session):
 # ------------------------------------------------------------------- q181
 
 def test_cohort_value_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, WEEK_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import WEEK_US
 
     got = QUERIES["q181_cohort_value"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

@@ -28,9 +28,9 @@ def _winnow_serial(tokens, k, w, hmod):
 
 
 def test_winnowing_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        _WIN_HMOD, PPM, WIN_K, WIN_W, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.census_a import _WIN_HMOD, WIN_K, WIN_W
 
     got = QUERIES["q258_winnowing"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -58,7 +58,7 @@ def test_winnowing_matches_serial(ray_session):
 def test_winnowing_coverage_guarantee(ray_session):
     """Any window of WIN_W grams contains at least one fingerprint —
     verified directly on one document."""
-    from texrex_ray.pipelines.queries import _WIN_HMOD, WIN_K, WIN_W
+    from texrex_ray.pipelines.queries.census_a import _WIN_HMOD, WIN_K, WIN_W
     import numpy as np
 
     docs = pd.read_parquet(f"{SF}/documents.parquet")

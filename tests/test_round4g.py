@@ -13,7 +13,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q183
 
 def test_percentile_rank_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q183_percentile_rank"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -55,7 +56,8 @@ def test_source_contamination_matches_serial(ray_session):
 # ------------------------------------------------------------------- q185
 
 def test_copurchase_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import BASKET_SUPPORT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import BASKET_SUPPORT
 
     got = QUERIES["q185_copurchase"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -79,7 +81,8 @@ def test_copurchase_matches_serial(ray_session):
 def test_copurchase_apriori_prune_is_lossless(ray_session):
     """Downward closure: dropping infrequent singles cannot drop a
     frequent pair — verified by brute force WITHOUT the prune."""
-    from texrex_ray.pipelines.queries import BASKET_SUPPORT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import BASKET_SUPPORT
 
     got = QUERIES["q185_copurchase"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")

@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 
 def test_phash_bit_balance_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q260_phash_bit_balance"](SF)
     d = fixture_path(n=300, seed=42)

@@ -10,7 +10,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q186
 
 def test_kaplan_meier_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q186_kaplan_meier"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -90,7 +91,8 @@ def test_mannwhitney_matches_serial(ray_session):
 # ------------------------------------------------------------------- q188
 
 def test_markov_stationary_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _MARKOV_ITERS, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import _MARKOV_ITERS, PPM
 
     got = QUERIES["q188_markov_stationary"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(

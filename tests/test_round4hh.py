@@ -13,7 +13,9 @@ TOK = re.compile(r"[a-z]+")
 # ------------------------------------------------------------------- q262
 
 def test_heavy_hitters_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import MG_K, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.census_a import MG_K
 
     got = QUERIES["q262_misra_gries"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -39,7 +41,7 @@ def test_heavy_hitters_matches_serial(ray_session):
 
 def test_mg_prune_superset_guarantee(ray_session):
     # the per-batch MG prune keeps any locally-heavy key
-    from texrex_ray.pipelines.queries import MG_K
+    from texrex_ray.pipelines.queries.census_a import MG_K
 
     rng = np.random.default_rng(7)
     # one dominant key + MG_K+200 uniform distractors
@@ -87,7 +89,8 @@ def test_rollup_revenue_matches_serial(ray_session):
 # ------------------------------------------------------------------- q264
 
 def test_funnel_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q264_funnel_ordered"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

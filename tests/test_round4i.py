@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q189
 
 def test_ta_topk_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import TA_EVENT_WEIGHT, TA_K, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import TA_EVENT_WEIGHT, TA_K
 
     got = QUERIES["q189_ta_topk"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -35,7 +36,8 @@ def test_ta_threshold_certifies(ray_session):
     """The TA stop bound: every returned score must be >= the combined
     score of ANY user outside the result (global correctness of the
     early-stopped scan, checked against the full population)."""
-    from texrex_ray.pipelines.queries import TA_EVENT_WEIGHT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import TA_EVENT_WEIGHT
 
     got = QUERIES["q189_ta_topk"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -53,7 +55,8 @@ def test_ta_threshold_certifies(ray_session):
 # ------------------------------------------------------------------- q190
 
 def test_benford_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _BENFORD_PPM, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import _BENFORD_PPM, PPM
 
     got = QUERIES["q190_benford"](SF)
     orders = pd.read_parquet(f"{SF}/orders.parquet")
@@ -79,7 +82,8 @@ def test_benford_matches_serial(ray_session):
 # ------------------------------------------------------------------- q191
 
 def test_cube_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _ALL, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.corpus_ops import _ALL
 
     got = QUERIES["q191_cube"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

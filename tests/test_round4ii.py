@@ -30,7 +30,8 @@ def _lap_var_milli(px: np.ndarray) -> int:
 
 def test_blur_audit_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import BLUR_MILLI, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import BLUR_MILLI
     from texrex_ray.sources.images import decode_image
 
     got = QUERIES["q265_blur_audit"](SF)
@@ -99,7 +100,8 @@ def test_ktruss_distributed_matches_sequential(ray_session):
 # ------------------------------------------------------------------- q267
 
 def test_kmeans_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import KM_ITERS, KM_K, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import KM_ITERS, KM_K
 
     got = QUERIES["q267_kmeans"](SF)
     emb = (

@@ -10,7 +10,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q192
 
 def test_episodes_match_serial(ray_session):
-    from texrex_ray.pipelines.queries import EPISODE_SUPPORT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import EPISODE_SUPPORT
 
     got = QUERIES["q192_episodes"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(

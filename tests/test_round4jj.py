@@ -11,7 +11,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q268
 
 def test_reuse_distance_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, SHARDS_MOD
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import SHARDS_MOD
 
     got = QUERIES["q268_reuse_distance"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",

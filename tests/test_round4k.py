@@ -65,8 +65,9 @@ def test_peak_concurrency_matches_serial(ray_session):
 # ------------------------------------------------------------------- q197
 
 def test_redirect_resolution_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        _REDIRECT_FIXTURE, _REDIRECT_ROUNDS, QUERIES,
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import (
+        _REDIRECT_FIXTURE, _REDIRECT_ROUNDS,
     )
 
     got = QUERIES["q197_redirect_resolution"](SF)

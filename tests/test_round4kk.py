@@ -12,7 +12,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q271
 
 def test_itemset_pairs_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import ITEMSET_MINSUP, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import ITEMSET_MINSUP
 
     got = QUERIES["q271_itemset_pairs"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet",
@@ -139,7 +140,8 @@ def _huffman_depth_bits(weights: list[int]) -> int:
 
 
 def test_huffman_matches_tree_depths(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q273_huffman_bits"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["lang", "text"])

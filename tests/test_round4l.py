@@ -12,7 +12,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q198
 
 def test_weighted_jaccard_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q198_weighted_jaccard"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -41,7 +42,8 @@ def test_weighted_jaccard_matches_serial(ray_session):
 # ------------------------------------------------------------------- q199
 
 def test_churn_labels_match_serial(ray_session):
-    from texrex_ray.pipelines.queries import CHURN_HORIZON_US, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import CHURN_HORIZON_US
 
     got = QUERIES["q199_churn_labels"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")
@@ -73,7 +75,8 @@ def test_churn_labels_match_serial(ray_session):
 def test_churn_labels_no_leakage(ray_session):
     """Features must be computable from pre-split data alone: deleting
     every post-split event must not change any feature column."""
-    from texrex_ray.pipelines.queries import CHURN_HORIZON_US, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import CHURN_HORIZON_US
 
     got = QUERIES["q199_churn_labels"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

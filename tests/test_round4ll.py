@@ -15,7 +15,9 @@ TOK = re.compile(r"[a-z]+")
 # ------------------------------------------------------------------- q274
 
 def test_bigram_nexttok_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import N_FOLDS, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import N_FOLDS
 
     got = QUERIES["q274_bigram_nexttok"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet",
@@ -104,7 +106,7 @@ def test_crc_ledger_matches_fixture(ray_session):
 # ------------------------------------------------------------------- q276
 
 def test_hilbert_curve_property(ray_session):
-    from texrex_ray.pipelines.queries import hilbert_d_vec
+    from texrex_ray.pipelines.queries.census_a import hilbert_d_vec
 
     # exhaustive 8x8: a bijection whose consecutive indices are ALWAYS
     # grid-adjacent — the property Z-order lacks and the audit banks on
@@ -119,9 +121,9 @@ def test_hilbert_curve_property(ray_session):
 
 
 def test_hilbert_layout_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        HILBERT_ORDER, ZORDER_FRAG, QUERIES, hilbert_d_vec,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import ZORDER_FRAG
+    from texrex_ray.pipelines.queries.census_a import HILBERT_ORDER, hilbert_d_vec
 
     got = QUERIES["q276_hilbert_layout"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",

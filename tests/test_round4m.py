@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q201
 
 def test_compaction_plan_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import COMPACT_TARGET, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import COMPACT_TARGET
 
     got = QUERIES["q201_compaction_plan"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet").sort_values(
@@ -44,11 +45,8 @@ def test_compaction_plan_matches_serial(ray_session):
 # ------------------------------------------------------------------- q202
 
 def test_record_linkage_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        LINK_BAND,
-        LINK_THRESHOLD,
-        QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import LINK_BAND, LINK_THRESHOLD
 
     got = QUERIES["q202_record_linkage"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -81,7 +79,8 @@ def test_record_linkage_matches_serial(ray_session):
 # ------------------------------------------------------------------- q203
 
 def test_theil_sen_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import TS_CAP, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import TS_CAP
 
     got = QUERIES["q203_theil_sen"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet").sort_values(

@@ -47,7 +47,7 @@ def test_symspell_matches_bruteforce(ray_session):
 def test_symspell_complete_on_mutations(ray_session):
     # candidate-completeness property: every substitution/insert/delete
     # neighbor must share a 1-delete variant — probe with random edits
-    from texrex_ray.pipelines.queries import _lev_le1
+    from texrex_ray.pipelines.queries.census_a import _lev_le1
 
     rng = np.random.default_rng(3)
     alpha = "abcdef"
@@ -101,7 +101,8 @@ def _serial_gs(sup: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
 
 def test_stable_match_matches_serial_and_is_stable(ray_session):
     from texrex_ray.ops.matching import is_stable, rank_preferences
-    from texrex_ray.pipelines.queries import GS_N, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import GS_N
 
     got = QUERIES["q278_stable_match"](SF)
     sup = (

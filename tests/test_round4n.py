@@ -42,7 +42,8 @@ def test_gap_fill_matches_serial(ray_session):
 # ------------------------------------------------------------------- q205
 
 def test_pattern_counts_match_serial(ray_session):
-    from texrex_ray.pipelines.queries import SCAN_PATTERNS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import SCAN_PATTERNS
 
     got = QUERIES["q205_pattern_counts"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -64,7 +65,8 @@ def test_pattern_counts_match_serial(ray_session):
 # ------------------------------------------------------------------- q206
 
 def test_encoding_stats_match_serial(ray_session):
-    from texrex_ray.pipelines.queries import ENC_FRAG, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import ENC_FRAG
 
     got = QUERIES["q206_encoding_stats"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

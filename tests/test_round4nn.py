@@ -45,9 +45,8 @@ def test_kll_weight_conservation_and_bound(ray_session):
 
 def test_kll_query_matches_serial(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import (
-        KLL_BUCKETS, KLL_K, KLL_STATS, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import KLL_BUCKETS, KLL_K, KLL_STATS
     from texrex_ray.ops.kll import (
         build_sketch, merge_sketches, quantile, rank_error_bound,
     )
@@ -90,7 +89,8 @@ def test_kll_query_matches_serial(ray_session):
 # ------------------------------------------------------------------- q281
 
 def test_systematic_sample_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, SAMPLE_N
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import SAMPLE_N
 
     got = QUERIES["q281_systematic_sample"](SF)
     docs = (

@@ -86,7 +86,8 @@ def test_harmonic_star_graph(ray_session):
 # ------------------------------------------------------------------- q209
 
 def test_hash_ring_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import RING_VNODES, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import RING_VNODES
 
     got = QUERIES["q209_hash_ring"](SF)
     sup = pd.read_parquet(f"{SF}/supplier.parquet")

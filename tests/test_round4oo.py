@@ -138,7 +138,7 @@ def test_morph_query_matches_fixture(ray_session):
 def test_cusum_scan_unit(ray_session):
     """Hand-walked CUSUM: series 0,0,12,12,12,0 with k=3, h=15.
     S: 0,0,9,18->alarm reset 0,9,6.  One alarm at index 3."""
-    from texrex_ray.pipelines.queries import CUSUM_H_MULT
+    from texrex_ray.pipelines.queries.census_a import CUSUM_H_MULT
 
     assert CUSUM_H_MULT == 5
     xs = [0, 0, 12, 12, 12, 0]
@@ -157,7 +157,8 @@ def test_cusum_scan_unit(ray_session):
 
 
 def test_cusum_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import CUSUM_H_MULT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import CUSUM_H_MULT
 
     got = QUERIES["q285_cusum_drift"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",

@@ -12,12 +12,9 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q210
 
 def test_bm25_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        BM25_TERMS,
-        BM25_TOPK,
-        PPM,
-        QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import BM25_TERMS, BM25_TOPK
 
     got = QUERIES["q210_bm25"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -106,7 +103,8 @@ def test_image_patches_fixture_fresh(ray_session):
 # ------------------------------------------------------------------- q212
 
 def test_jain_fairness_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q212_jain_fairness"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

@@ -26,7 +26,7 @@ def test_aho_corasick_matches_regex_twin(ray_session):
     import re
 
     from texrex_ray.functions.multimatch import AhoCorasick
-    from texrex_ray.pipelines.queries import AC_PATTERNS
+    from texrex_ray.pipelines.queries.census_a import AC_PATTERNS
 
     docs = pd.read_parquet(f"{SF}/documents.parquet",
                            columns=["text"]).head(80)
@@ -41,7 +41,8 @@ def test_aho_corasick_matches_regex_twin(ray_session):
 def test_aho_corasick_query_matches_serial(ray_session):
     import re
 
-    from texrex_ray.pipelines.queries import AC_PATTERNS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import AC_PATTERNS
 
     got = QUERIES["q286_aho_corasick"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
@@ -122,9 +123,9 @@ def test_bloom_audit_query_matches_pyint_twin(ray_session):
     import hashlib
     import math
 
-    from texrex_ray.pipelines.queries import (
-        BLOOM_AUDIT_CAP, BLOOM_AUDIT_CHUNK, BLOOM_AUDIT_ERR,
-        BLOOM_AUDIT_PROBES, QUERIES,
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import (
+        BLOOM_AUDIT_CAP, BLOOM_AUDIT_CHUNK, BLOOM_AUDIT_ERR, BLOOM_AUDIT_PROBES,
     )
 
     got = QUERIES["q288_bloom_fpr_audit"](SF)

@@ -12,7 +12,8 @@ FIXDIR = "/root/repo/tests/fixtures/oracle"
 # ------------------------------------------------------------------- q213
 
 def test_decision_stump_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import STUMP_LANG, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import STUMP_LANG
 
     got = QUERIES["q213_decision_stump"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -47,11 +48,9 @@ def test_decision_stump_matches_serial(ray_session):
 # ------------------------------------------------------------------- q214
 
 def test_wilson_rank_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        PPM,
-        WILSON_MIN_CHARS,
-        QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import WILSON_MIN_CHARS
 
     got = QUERIES["q214_wilson_rank"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -77,7 +76,7 @@ def test_wilson_rank_matches_serial(ray_session):
 def test_wilson_small_sample_conservative():
     # 2/2 must rank below 900/1000 under the lower bound even though the
     # naive rate says otherwise
-    from texrex_ray.pipelines.queries import PPM
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     def lb(k, n):
         isq = math.isqrt((k * (n - k) + n) * n)

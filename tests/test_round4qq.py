@@ -66,7 +66,8 @@ def test_lz76_query_matches_serial(ray_session):
 # ------------------------------------------------------------------- q290
 
 def test_hamilton_apportionment_properties(ray_session):
-    from texrex_ray.pipelines.queries import HAMILTON_SEATS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import HAMILTON_SEATS
 
     got = QUERIES["q290_hamilton_apportion"](SF)
     # seats sum EXACTLY to the budget (the whole point of Hamilton)
@@ -81,7 +82,8 @@ def test_hamilton_apportionment_properties(ray_session):
 
 
 def test_hamilton_matches_serial_twin(ray_session):
-    from texrex_ray.pipelines.queries import HAMILTON_SEATS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import HAMILTON_SEATS
 
     got = QUERIES["q290_hamilton_apportion"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet",

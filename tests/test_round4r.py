@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q216
 
 def test_loo_knn_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import EMB_QUANT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import EMB_QUANT
 
     got = QUERIES["q216_loo_knn_accuracy"](SF)
     emb = pd.read_parquet(f"{SF}/embeddings.parquet").sort_values("vec_id")
@@ -61,7 +62,8 @@ def test_discovery_curve_invariants(ray_session):
 # ------------------------------------------------------------------- q218
 
 def test_position_attribution_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q218_position_attribution"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q292
 
 def test_window_max_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, WINDOW_DAYS
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import WINDOW_DAYS
 
     got = QUERIES["q292_window_max_burst"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet", columns=["ts", "event_type"])
@@ -104,7 +105,8 @@ def test_period_query_matches_serial(ray_session):
 
 def test_coordinated_sample_matches_serial(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import COORD_SAMPLE_MOD, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import COORD_SAMPLE_MOD
 
     got = QUERIES["q294_coordinated_sample_join"](SF).iloc[0]
     orders = pd.read_parquet(f"{SF}/orders.parquet", columns=["o_custkey"])

@@ -13,11 +13,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q219
 
 def test_layout_roi_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        LAYOUT_FRAG,
-        LAYOUT_PROBES,
-        QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import LAYOUT_FRAG, LAYOUT_PROBES
 
     got = QUERIES["q219_layout_roi"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -90,7 +87,8 @@ def test_exposure_fixture_fresh(ray_session):
 # ------------------------------------------------------------------- q221
 
 def test_grouped_pearson_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q221_grouped_pearson"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -120,7 +118,7 @@ def test_grouped_pearson_matches_serial(ray_session):
 
 
 def test_pearson_sign_and_extremes():
-    from texrex_ray.pipelines.queries import PPM
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     def r_ppm(xs, ys):
         n = len(xs)

@@ -53,7 +53,8 @@ def test_boruvka_msf_matches_kruskal(ray_session):
 # ------------------------------------------------------------------- q338
 
 def test_ams_f2_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _AMS_J, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import _AMS_J
 
     got = QUERIES["q338_ams_f2"](SF).iloc[0]
     ev = pd.read_parquet(f"{SF}/events.parquet", columns=["user_id"])

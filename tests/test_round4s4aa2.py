@@ -8,7 +8,7 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q415
 
 def test_line_break_closed_forms():
-    from texrex_ray.pipelines.queries import _line_break
+    from texrex_ray.pipelines.queries.census_d import _line_break
 
     # single short token: one line, last line free
     assert _line_break(["hello"], 32) == (0, 1)
@@ -29,7 +29,7 @@ def test_line_break_closed_forms():
 def test_line_break_matches_topdown_twin():
     from functools import lru_cache
 
-    from texrex_ray.pipelines.queries import _LB_WIDTH, _line_break
+    from texrex_ray.pipelines.queries.census_d import _LB_WIDTH, _line_break
 
     import random
 

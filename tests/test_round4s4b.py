@@ -96,7 +96,8 @@ def test_delta_stepping_matches_dijkstra(ray_session):
 # ------------------------------------------------------------------- q342
 
 def test_supplier_census_matches_pandas(ray_session):
-    from texrex_ray.pipelines.queries import _Q16_SIZES, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import _Q16_SIZES
 
     got = QUERIES["q342_supplier_census"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet",

@@ -10,7 +10,8 @@ SF = "/root/testdata/sf0.001"
 
 def test_bwt_runs_matches_rotation_twin(ray_session):
     from texrex_ray.functions.complexity import bwt_runs_rotations
-    from texrex_ray.pipelines.queries import _BWT_PREFIX, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import _BWT_PREFIX
 
     got = QUERIES["q343_bwt_runs"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet",

@@ -61,7 +61,8 @@ def test_convex_hull_query_shape(ray_session):
 # ------------------------------------------------------------------- q347
 
 def test_priority_sampling_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _PS_K, _PS_SCALE, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _PS_K, _PS_SCALE
 
     got = QUERIES["q347_priority_sampling"](SF).iloc[0]
     o = pd.read_parquet(f"{SF}/orders.parquet")

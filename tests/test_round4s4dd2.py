@@ -11,7 +11,8 @@ SF = "/root/testdata/sf0.001"
 def test_ffd_matches_scalar_twin(ray_session):
     import pyarrow.parquet as pq
 
-    from texrex_ray.pipelines.queries import _FFD_CAP, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_d import _FFD_CAP
 
     got = QUERIES["q424_ffd_binpack"](SF)
     parts = pq.read_table(f"{SF}/part.parquet",

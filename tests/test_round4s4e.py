@@ -34,7 +34,7 @@ def test_chi2_matches_serial(ray_session):
 # ------------------------------------------------------------------- q350
 
 def test_sweep_area_basics():
-    from texrex_ray.pipelines.queries import _sweep_area
+    from texrex_ray.pipelines.queries.census_c import _sweep_area
 
     df = pd.DataFrame({"x0": [0, 5], "x1": [10, 15], "y0": [0, 5],
                        "y1": [10, 15]})
@@ -50,7 +50,8 @@ def test_sweep_area_basics():
 
 
 def test_rect_union_matches_strip_twin(ray_session):
-    from texrex_ray.pipelines.queries import _order_rects, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _order_rects
 
     got = QUERIES["q350_rect_union_area"](SF).iloc[0]
     o = pd.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey"])
@@ -108,7 +109,8 @@ def test_windowed_min_matches_pandas(ray_session):
 
 
 def test_rolling_min_query_matches_pandas(ray_session):
-    from texrex_ray.pipelines.queries import _ROLL_W, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _ROLL_W
 
     got = QUERIES["q351_rolling_min"](SF).iloc[0]
     ev = pd.read_parquet(f"{SF}/events.parquet",

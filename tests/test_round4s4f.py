@@ -55,7 +55,8 @@ def test_seam_query_shape(ray_session):
 # ------------------------------------------------------------------- q353
 
 def test_kadane_matches_bruteforce(ray_session):
-    from texrex_ray.pipelines.queries import _KADANE_BASE, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _KADANE_BASE
 
     got = QUERIES["q353_kadane_burst"](SF).iloc[0]
     ev = pd.read_parquet(f"{SF}/events.parquet",

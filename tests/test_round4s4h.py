@@ -75,7 +75,8 @@ def test_waiting_orders_matches_pandas(ray_session):
 # ------------------------------------------------------------------- q360
 
 def test_mmr_matches_serial_twin(ray_session):
-    from texrex_ray.pipelines.queries import _MMR_K, _embed_int, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _MMR_K, _embed_int
 
     got = QUERIES["q360_mmr_selection"](SF)
     t = pd.read_parquet(f"{SF}/embeddings.parquet",

@@ -11,7 +11,7 @@ SF = "/root/testdata/sf0.001"
 def test_tdiv_matches_duckdb_semantics():
     import duckdb
 
-    from texrex_ray.pipelines.queries import _tdiv
+    from texrex_ray.pipelines.queries.census_c import _tdiv
 
     con = duckdb.connect()
     for a in (-7, -1, 0, 1, 7, -1000001):
@@ -21,7 +21,8 @@ def test_tdiv_matches_duckdb_semantics():
 
 
 def test_revenue_autocorr_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import _tdiv, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _tdiv
 
     got = QUERIES["q361_revenue_autocorr"](SF).iloc[0]
     li = pd.read_parquet(

@@ -78,7 +78,7 @@ def test_tile_variance_query_shape(ray_session):
 # ------------------------------------------------------------------- q366
 
 def test_emd_scaled_properties():
-    from texrex_ray.pipelines.queries import emd_scaled
+    from texrex_ray.pipelines.queries.census_c import emd_scaled
 
     h = np.array([3, 0, 5, 2], np.int64)
     assert emd_scaled(h, h * 7) == 0  # same shape, any mass: zero EMD
@@ -92,8 +92,8 @@ def test_emd_scaled_properties():
 
 
 def test_hist_emd_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (_HEMD_BINS, _lum_hist,
-                                              emd_scaled, QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _HEMD_BINS, _lum_hist, emd_scaled
     from texrex_ray.pipelines.caption import fixture_path
     from texrex_ray.sources.images import decode_image
 

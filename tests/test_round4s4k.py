@@ -40,8 +40,8 @@ def test_tree_rollup_matches_recursion(ray_session):
 # ------------------------------------------------------------------- q368
 
 def test_rake_matches_counter_twin(ray_session):
-    from texrex_ray.pipelines.queries import (_RAKE_STOP, rake_phrases,
-                                              QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _RAKE_STOP, rake_phrases
 
     got = QUERIES["q368_rake_keywords"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
@@ -70,7 +70,7 @@ def test_rake_matches_counter_twin(ray_session):
 
 
 def test_rake_phrase_splitting():
-    from texrex_ray.pipelines.queries import rake_phrases
+    from texrex_ray.pipelines.queries.census_c import rake_phrases
 
     assert rake_phrases("the quick fox and lazy dog") == [
         ("quick", "fox"), ("lazy", "dog")]

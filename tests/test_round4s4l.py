@@ -9,8 +9,7 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q370
 
 def test_iblt_roundtrip_random_sets():
-    from texrex_ray.pipelines.queries import (iblt_insert, iblt_peel,
-                                              iblt_size)
+    from texrex_ray.pipelines.queries.census_c import iblt_insert, iblt_peel, iblt_size
 
     rng = np.random.default_rng(17)
     for trial in range(5):
@@ -48,8 +47,8 @@ def test_iblt_query_matches_exact_sets(ray_session):
 # ------------------------------------------------------------------- q371
 
 def test_sq8_recall_matches_full_matrix(ray_session):
-    from texrex_ray.pipelines.queries import (_SQ_K, _SQ_NQ, _embed_int,
-                                              QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _SQ_K, _SQ_NQ, _embed_int
 
     got = QUERIES["q371_sq8_recall"](SF).iloc[0]
     t = pd.read_parquet(f"{SF}/embeddings.parquet",

@@ -9,8 +9,9 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q373
 
 def test_palindrome_twins_hard_cases():
-    from texrex_ray.pipelines.queries import (longest_palindrome_brute,
-                                              longest_palindrome_manacher)
+    from texrex_ray.pipelines.queries.census_c import (
+        longest_palindrome_brute, longest_palindrome_manacher,
+    )
 
     for s in ("", "a", "aa", "ab", "aba", "abba", "abcba" * 4,
               "x" * 50, "abcdefg", "aabbaabb"):
@@ -22,9 +23,9 @@ def test_palindrome_twins_hard_cases():
 
 
 def test_palindrome_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (_BWT_PREFIX,
-                                              longest_palindrome_brute,
-                                              QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import _BWT_PREFIX
+    from texrex_ray.pipelines.queries.census_c import longest_palindrome_brute
 
     got = QUERIES["q373_longest_palindrome"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet",

@@ -11,8 +11,9 @@ SF = "/root/testdata/sf0.001"
 def test_viterbi_forward_equals_backward_and_brute():
     from itertools import product
 
-    from texrex_ray.pipelines.queries import (_vit_matrices, viterbi_best,
-                                              viterbi_best_backward)
+    from texrex_ray.pipelines.queries.census_c import (
+        _vit_matrices, viterbi_best, viterbi_best_backward,
+    )
 
     T, E = _vit_matrices(["a", "b", "c", "d"])
     rng = np.random.default_rng(7)
@@ -29,8 +30,8 @@ def test_viterbi_forward_equals_backward_and_brute():
 
 
 def test_viterbi_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (_vit_matrices, viterbi_best,
-                                              QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _vit_matrices, viterbi_best
 
     got = QUERIES["q376_viterbi_path"](SF).iloc[0]
     ev = pd.read_parquet(

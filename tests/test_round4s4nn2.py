@@ -9,7 +9,7 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q454
 
 def test_bitset_shift_matches_python_shift():
-    from texrex_ray.pipelines.queries import _bitset_shift_left
+    from texrex_ray.pipelines.queries.census_d import _bitset_shift_left
 
     rng = np.random.RandomState(1)
     nwords = 8
@@ -30,8 +30,8 @@ def test_bitset_shift_matches_python_shift():
 def test_subset_sums_matches_set_dp(ray_session):
     import pyarrow.parquet as pq
 
-    from texrex_ray.pipelines.queries import (_SUBSET_CAP,
-                                              _SUBSET_SIZE_MIN, QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_d import _SUBSET_CAP, _SUBSET_SIZE_MIN
 
     got = QUERIES["q454_subset_sums"](SF)
     parts = pq.read_table(f"{SF}/part.parquet",

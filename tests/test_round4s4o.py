@@ -43,7 +43,8 @@ def test_fk_integrity_detects_orphans(ray_session, tmp_path):
 # ------------------------------------------------------------------- q380
 
 def test_m4_matches_pandas(ray_session):
-    from texrex_ray.pipelines.queries import _M4_CELLS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _M4_CELLS
 
     got = QUERIES["q380_m4_downsample"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",

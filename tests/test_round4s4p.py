@@ -11,7 +11,7 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q382
 
 def test_tile_hashes_shift_sensitivity():
-    from texrex_ray.pipelines.queries import image_tile_hashes
+    from texrex_ray.pipelines.queries.census_c import image_tile_hashes
 
     rng = np.random.default_rng(4)
     px = rng.integers(0, 256, (32, 48, 3)).astype(np.uint8)
@@ -39,7 +39,7 @@ def test_tile_hash_dups_query(ray_session):
 # ------------------------------------------------------------------- q383
 
 def test_charikar_peel_small_graph():
-    from texrex_ray.pipelines.queries import charikar_peel
+    from texrex_ray.pipelines.queries.census_c import charikar_peel
 
     # K4 plus a pendant: densest is the K4 (6/4 = 1.5)
     adj = {1: {2, 3, 4}, 2: {1, 3, 4}, 3: {1, 2, 4}, 4: {1, 2, 3, 5},
@@ -87,7 +87,7 @@ def test_densest_matches_scan_twin(ray_session):
 # ------------------------------------------------------------------- q384
 
 def test_voptimal_dp_exactness():
-    from texrex_ray.pipelines.queries import voptimal_dp
+    from texrex_ray.pipelines.queries.census_c import voptimal_dp
 
     counts = np.array([10, 0, 0, 10, 10, 0, 0, 10], np.int64)
     vals = np.arange(8, dtype=np.int64)
@@ -112,8 +112,8 @@ def test_voptimal_dp_exactness():
 
 
 def test_voptimal_query_matches_twin(ray_session):
-    from texrex_ray.pipelines.queries import (_VOPT_BASE, _VOPT_K,
-                                              voptimal_dp, QUERIES)
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import _VOPT_BASE, _VOPT_K, voptimal_dp
 
     got = QUERIES["q384_voptimal_hist"](SF).iloc[0]
     li = pd.read_parquet(f"{SF}/lineitem.parquet",

@@ -42,7 +42,7 @@ def test_c4_census_matches_pandas(ray_session):
 # ------------------------------------------------------------------- q386
 
 def test_pitch_lag_finds_pure_tone():
-    from texrex_ray.pipelines.queries import pitch_lag
+    from texrex_ray.pipelines.queries.census_c import pitch_lag
 
     sr = 8000
     t = np.arange(sr)
@@ -54,7 +54,9 @@ def test_pitch_lag_finds_pure_tone():
 
 
 def test_pitch_query_matches_regenerated_twin(ray_session):
-    from texrex_ray.pipelines.queries import _av_n, pitch_lag, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import pitch_lag
+    from texrex_ray.pipelines.queries.flagships import _av_n
     from texrex_ray.sources.av import AUDIO_QUANT, _synth_pcm
 
     got = QUERIES["q386_pitch_detect"](SF)
@@ -87,7 +89,7 @@ def test_pitch_query_matches_regenerated_twin(ray_session):
 # ------------------------------------------------------------------- q387
 
 def test_shot_stats_detects_cut():
-    from texrex_ray.pipelines.queries import shot_stats
+    from texrex_ray.pipelines.queries.census_c import shot_stats
 
     rng = np.random.default_rng(2)
     a = rng.integers(0, 30, (4, 8, 8, 3)).astype(np.uint8)
@@ -104,7 +106,9 @@ def test_shot_stats_detects_cut():
 def test_shot_query_matches_parser_twin(ray_session):
     import struct
 
-    from texrex_ray.pipelines.queries import _av_n, shot_stats, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_c import shot_stats
+    from texrex_ray.pipelines.queries.flagships import _av_n
     from texrex_ray.sources.av import fixture_path as av_fixture
 
     got = QUERIES["q387_shot_boundaries"](SF).iloc[0]

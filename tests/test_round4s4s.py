@@ -9,7 +9,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q391
 
 def test_pca_power_matches_scalar_twin_and_numpy(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, pca_power_twin
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_d import pca_power_twin
 
     got = QUERIES["q391_pca_power"](SF)
 
@@ -55,7 +56,8 @@ def _series(sf):
 
 
 def test_dtw_pairs_matches_recursive_twin(ray_session):
-    from texrex_ray.pipelines.queries import _DTW_BAND, QUERIES, dtw_band_twin
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_d import _DTW_BAND, dtw_band_twin
 
     got = QUERIES["q392_dtw_pairs"](SF)
     series, n_days = _series(SF)
@@ -73,7 +75,7 @@ def test_dtw_pairs_matches_recursive_twin(ray_session):
 
 
 def test_dtw_self_zero_and_band_monotone():
-    from texrex_ray.pipelines.queries import _dtw_iter, dtw_band_twin
+    from texrex_ray.pipelines.queries.census_d import _dtw_iter, dtw_band_twin
 
     rng = np.random.RandomState(7)
     a = rng.randint(0, 50, 20).astype(np.int64)
@@ -124,7 +126,7 @@ def test_sstem_census_matches_set_twin(ray_session):
 
 
 def test_sstem_rules():
-    from texrex_ray.pipelines.queries import s_stem
+    from texrex_ray.pipelines.queries.census_d import s_stem
 
     cases = {
         "ponies": "pony", "cats": "cat", "boxes": "boxe", "goes": "goe",

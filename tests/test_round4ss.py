@@ -85,7 +85,8 @@ def test_interval_greedy_equals_dp(ray_session):
 
 
 def test_interval_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, SESSION_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import SESSION_US
 
     got = QUERIES["q296_interval_scheduling"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet", columns=["ts", "user_id"])

@@ -85,7 +85,8 @@ def test_edge_stress_fixture_fresh(ray_session):
 # ------------------------------------------------------------------- q224
 
 def test_delta_bits_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import ENC_FRAG, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import ENC_FRAG
 
     got = QUERIES["q224_delta_bits"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

@@ -84,9 +84,8 @@ def test_haar_query_matches_fixture(ray_session):
 # ------------------------------------------------------------------- q299
 
 def test_density_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        DENSITY_MIN_PTS, DENSITY_RADIUS_SQ, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import DENSITY_MIN_PTS, DENSITY_RADIUS_SQ
 
     got = QUERIES["q299_density_core_census"](SF)
     emb = pd.read_parquet(f"{SF}/embeddings.parquet")

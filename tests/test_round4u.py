@@ -11,7 +11,8 @@ SF = "/root/testdata/sf0.001"
 # ------------------------------------------------------------------- q225
 
 def test_vocab_growth_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import VOCAB_WINDOW, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import VOCAB_WINDOW
 
     got = QUERIES["q225_vocab_growth"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet").sort_values(
@@ -45,7 +46,8 @@ def test_vocab_growth_matches_serial(ray_session):
 # ------------------------------------------------------------------- q226
 
 def test_l_diversity_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import LDIV_BAND, LDIV_L, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import LDIV_BAND, LDIV_L
 
     got = QUERIES["q226_l_diversity"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -68,11 +70,9 @@ def test_l_diversity_matches_serial(ray_session):
 # ------------------------------------------------------------------- q227
 
 def test_boilerplate_ngrams_match_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        BOILER_GRAM,
-        BOILER_MIN_SOURCES,
-        BOILER_TOPK,
-        QUERIES,
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import (
+        BOILER_GRAM, BOILER_MIN_SOURCES, BOILER_TOPK,
     )
 
     got = QUERIES["q227_boilerplate_ngrams"](SF)

@@ -34,7 +34,8 @@ def test_lindley_closed_form_equals_recursion(ray_session):
 
 
 def test_lindley_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import LINDLEY_SERVICE_US, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import LINDLEY_SERVICE_US
 
     got = QUERIES["q301_lindley_queue"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",

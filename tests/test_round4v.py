@@ -16,7 +16,8 @@ def test_fertility_matches_serial(ray_session):
         bpe_encode_sequential,
         bpe_train_sequential,
     )
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q228_tokenizer_fertility"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -51,7 +52,8 @@ def test_fertility_matches_serial(ray_session):
 
 def test_payload_storage_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q229_payload_storage"](SF)
     d = fixture_path(n=300, seed=42)
@@ -82,7 +84,8 @@ def test_payload_storage_matches_serial(ray_session):
 
 def test_caption_dirt_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import DIRT_PATTERNS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import DIRT_PATTERNS
 
     got = QUERIES["q230_caption_dirt"](SF)
     d = fixture_path(n=300, seed=42)

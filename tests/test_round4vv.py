@@ -12,9 +12,7 @@ def test_dgim_fuzz_vs_carry_twin_and_bound(ray_session):
     import random
     from collections import deque
 
-    from texrex_ray.pipelines.queries import (
-        DGIM_K, DGIM_WINDOW_US, _dgim_run,
-    )
+    from texrex_ray.pipelines.queries.census_b import DGIM_K, DGIM_WINDOW_US, _dgim_run
 
     def twin(ts_list):
         levels = {}
@@ -54,9 +52,8 @@ def test_dgim_fuzz_vs_carry_twin_and_bound(ray_session):
 
 
 def test_dgim_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        DGIM_WINDOW_US, QUERIES, _dgim_run,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import DGIM_WINDOW_US, _dgim_run
 
     got = QUERIES["q304_dgim_window_count"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet",
@@ -85,7 +82,8 @@ def test_dgim_query_matches_serial(ray_session):
 
 def test_feature_hash_query_matches_serial(ray_session):
     from texrex_ray.functions.hashing import md5_lower64
-    from texrex_ray.pipelines.queries import FEATHASH_BUCKETS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import FEATHASH_BUCKETS
 
     got = QUERIES["q305_feature_hash_census"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["text"])
@@ -121,7 +119,8 @@ def test_feature_hash_query_matches_serial(ray_session):
 def test_p2c_query_matches_serial_and_beats_single(ray_session):
     import hashlib
 
-    from texrex_ray.pipelines.queries import P2C_BUCKETS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import P2C_BUCKETS
 
     got = QUERIES["q306_power_of_two_choices"](SF)
     ids = sorted(

@@ -17,7 +17,8 @@ def _host(s: pd.Series) -> pd.Series:
 # ------------------------------------------------------------------- q231
 
 def test_waterfill_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, WF_BUDGET
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import WF_BUDGET
 
     got = QUERIES["q231_waterfill_budget"](SF)
     edges = pd.read_parquet(EDGES)
@@ -97,7 +98,8 @@ def test_modularity_matches_serial(ray_session):
 # ------------------------------------------------------------------- q233
 
 def test_backoff_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q233_backoff_audit"](SF)
     ev = pd.read_parquet(f"{SF}/events.parquet")

@@ -33,7 +33,8 @@ def test_weighted_dp_beats_greedy_sometimes(ray_session):
 
 
 def test_wis_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, SESSION_US
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_a import SESSION_US
 
     got = QUERIES["q307_weighted_intervals"](SF)
     ev = pd.read_parquet(
@@ -68,7 +69,7 @@ def test_wis_query_matches_serial(ray_session):
 def test_merkle_root_properties(ray_session):
     import hashlib
 
-    from texrex_ray.pipelines.queries import _merkle_root
+    from texrex_ray.pipelines.queries.census_b import _merkle_root
 
     a, b, c = (hashlib.md5(x).digest() for x in (b"a", b"b", b"c"))
     # singleton: root == leaf, depth 0
@@ -118,9 +119,7 @@ def test_cdc_shift_resilience(ray_session):
     leaves the tail chunks identical."""
     import hashlib
 
-    from texrex_ray.pipelines.queries import (
-        CDC_BASE, CDC_MASK_MOD, CDC_WINDOW,
-    )
+    from texrex_ray.pipelines.queries.census_b import CDC_BASE, CDC_MASK_MOD, CDC_WINDOW
 
     MOD = 1 << 64
 
@@ -162,9 +161,8 @@ def test_cdc_shift_resilience(ray_session):
 def test_cdc_query_matches_scalar_twin(ray_session):
     import hashlib
 
-    from texrex_ray.pipelines.queries import (
-        CDC_BASE, CDC_MASK_MOD, CDC_WINDOW, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import CDC_BASE, CDC_MASK_MOD, CDC_WINDOW
 
     got = QUERIES["q309_cdc_dedup"](SF).iloc[0]
     MOD = 1 << 64

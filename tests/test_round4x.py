@@ -14,7 +14,8 @@ def _host(s: pd.Series) -> pd.Series:
 # ------------------------------------------------------------------- q234
 
 def test_fanout_simpson_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
 
     got = QUERIES["q234_fanout_simpson"](SF)
     edges = pd.read_parquet(EDGES)
@@ -43,7 +44,9 @@ def test_fanout_simpson_matches_serial(ray_session):
 
 def test_aspect_buckets_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import ASPECT_BUCKETS, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import ASPECT_BUCKETS
 
     got = QUERIES["q235_aspect_buckets"](SF)
     d = fixture_path(n=300, seed=42)
@@ -77,9 +80,8 @@ def test_aspect_buckets_matches_serial(ray_session):
 # ------------------------------------------------------------------- q236
 
 def test_makespan_bound_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        FETCH_US, MIN_GAP_US, N_WALKERS, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import FETCH_US, MIN_GAP_US, N_WALKERS
 
     got = QUERIES["q236_makespan_bound"](SF)
     edges = pd.read_parquet(EDGES)

@@ -13,7 +13,9 @@ EDGES = "/root/repo/tests/fixtures/oracle/pagerank_edges.parquet"
 
 def test_caption_truncation_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import PPM, TRUNC_LIMIT, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import TRUNC_LIMIT
 
     got = QUERIES["q237_caption_truncation"](SF)
     d = fixture_path(n=300, seed=42)
@@ -42,7 +44,8 @@ def test_caption_truncation_matches_serial(ray_session):
 # ------------------------------------------------------------------- q238
 
 def test_fold_balance_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import N_FOLDS, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_b import N_FOLDS
 
     got = QUERIES["q238_fold_balance"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")

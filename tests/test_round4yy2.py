@@ -53,7 +53,8 @@ def test_bridges_query_matches_fixture(ray_session):
 # ------------------------------------------------------------------- q314
 
 def test_roaring_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import QUERIES, ROAR_SPAN
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import ROAR_SPAN
 
     got = QUERIES["q314_roaring_census"](SF)
     o = pd.read_parquet(f"{SF}/orders.parquet",
@@ -85,7 +86,7 @@ def test_roaring_query_matches_serial(ray_session):
 def test_mattr_sliding_window_unit(ray_session):
     """Incremental sliding distinct == per-window set() recount, and
     MATTR is length-invariant where plain TTR is not."""
-    from texrex_ray.pipelines.queries import MATTR_WINDOW
+    from texrex_ray.pipelines.queries.census_b import MATTR_WINDOW
 
     def mattr_pairs(toks):
         n = len(toks)
@@ -123,7 +124,8 @@ def test_mattr_sliding_window_unit(ray_session):
 
 
 def test_mattr_query_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import MATTR_WINDOW, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import MATTR_WINDOW
 
     got = QUERIES["q315_mattr"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet",

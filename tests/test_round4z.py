@@ -13,9 +13,9 @@ TOK = re.compile(r"[a-z]+")
 # ------------------------------------------------------------------- q240
 
 def test_oov_rate_matches_serial(ray_session):
-    from texrex_ray.pipelines.queries import (
-        N_FOLDS, PPM, VOCAB_K, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import N_FOLDS, VOCAB_K
 
     got = QUERIES["q240_oov_rate"](SF)
     docs = pd.read_parquet(f"{SF}/documents.parquet")
@@ -81,7 +81,9 @@ def test_image_exact_dedup_matches_serial(ray_session):
 
 def test_resize_plan_matches_serial(ray_session):
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import MAX_EDGE, PPM, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.analytics_a import PPM
+    from texrex_ray.pipelines.queries.analytics_b import MAX_EDGE
 
     got = QUERIES["q242_resize_plan"](SF)
     d = fixture_path(n=300, seed=42)

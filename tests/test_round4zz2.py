@@ -15,9 +15,8 @@ def _vol_c(df: pd.DataFrame) -> pd.Series:
 # ------------------------------------------------------------------- q316
 
 def test_q5_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import (
-        Q5_DATE_HI, Q5_DATE_LO, Q5_REGION, QUERIES,
-    )
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q5_DATE_HI, Q5_DATE_LO, Q5_REGION
 
     got = QUERIES["q316_local_supplier_volume"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -54,7 +53,8 @@ def test_q5_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q317
 
 def test_q3_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q3_DATE, Q3_TOPK, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q3_DATE, Q3_TOPK
 
     got = QUERIES["q317_shipping_priority"](SF)
     li = pd.read_parquet(f"{SF}/lineitem.parquet")
@@ -81,7 +81,8 @@ def test_q3_matches_pandas_twin(ray_session):
 # ------------------------------------------------------------------- q318
 
 def test_q14_matches_pandas_twin(ray_session):
-    from texrex_ray.pipelines.queries import Q14_HI, Q14_LO, QUERIES
+    from texrex_ray.pipelines.queries import QUERIES
+    from texrex_ray.pipelines.queries.census_b import Q14_HI, Q14_LO
 
     got = QUERIES["q318_promo_share"](SF).iloc[0]
     li = pd.read_parquet(f"{SF}/lineitem.parquet")

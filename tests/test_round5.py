@@ -153,8 +153,9 @@ def test_registry_curated_window_and_completeness():
         assert must in first
     # same iteration order on both dicts
     assert list(q.ORACLE)[:50] == first
-    # monolith import compatibility: underscore helpers still reachable
-    from texrex_ray.pipelines.queries import _av_n, _read  # noqa: F401
+    # helpers are imported from the module that defines them
+    from texrex_ray.pipelines.queries._core import _read  # noqa: F401
+    from texrex_ray.pipelines.queries.flagships import _av_n  # noqa: F401
 
 
 def test_dup_clusters_shuffle_salted_hop():

@@ -505,7 +505,7 @@ class CrawlEngine:
         Measures per-host fetch load, finds partitions above ``hot_ratio``×
         the mean, and migrates their heaviest hosts to the least-loaded
         partitions: politeness state moves exactly; the source partition's
-        Bloom segments are chained read-only into the destination (first-
+        URL-seen filter is chained read-only into each destination (first-
         wins preserved; per-host bits can't leave a Bloom).  Decisions are
         per-host/per-URL, so visit order is unaffected (tested).  Returns
         the applied salt map.
@@ -519,7 +519,8 @@ class CrawlEngine:
                 break
             excess = totals[p_hot] - mean
             hosts_sorted = sorted(loads[p_hot].items(), key=lambda kv: -kv[1])
-            moved_seen = False
+            seen = None
+            chained: set[int] = set()
             for host, load in hosts_sorted:
                 if excess <= 0:
                     break
@@ -528,10 +529,13 @@ class CrawlEngine:
                     break
                 state = self.parts[p_hot].export_hosts.remote([host])
                 ray.get(self.parts[p_cold].import_hosts.remote(state))
-                if not moved_seen:
-                    seen = self.parts[p_hot].export_seen.remote()
+                # every destination needs the source's history, not only
+                # the first one (else a moved host re-outputs its URLs)
+                if p_cold not in chained:
+                    if seen is None:
+                        seen = self.parts[p_hot].export_seen.remote()
                     ray.get(self.parts[p_cold].attach_seen_base.remote(seen))
-                    moved_seen = True
+                    chained.add(p_cold)
                 new_salt[host] = p_cold
                 totals[p_hot] -= load
                 totals[p_cold] += load

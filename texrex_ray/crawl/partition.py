@@ -125,15 +125,16 @@ class PartitionCore:
         self.pm.import_hosts(state["politeness"])
 
     def export_seen(self) -> dict:
-        return self.seen.snapshot()
+        return {"origin": self.part_id, "seen": self.seen.snapshot()}
 
-    def attach_seen_base(self, snap: dict) -> None:
+    def attach_seen_base(self, export: dict) -> None:
         """Chain another partition's URL-seen filter as read-only history:
         migrated hosts keep no false negatives (first-wins) at a small
-        false-positive cost."""
-        base = restore_url_seen(snap)
-        base.freeze()  # adds keep going to this partition's current tail
-        self.seen.chain_base(base)
+        false-positive cost.  History is keyed by origin partition, so a
+        repeated attach replaces the older copy instead of adding one."""
+        self.seen.chain_base(restore_url_seen(export["seen"]), export["origin"])
+        # this partition's own live filter already holds its own history
+        self.seen.history.pop(self.part_id, None)
 
     # -- checkpoint --------------------------------------------------------
 

@@ -1,12 +1,14 @@
 """Driver-facing query registry: Ray pipelines + DuckDB oracle SQL.
 
-Formerly a single 32k-line ``queries.py``; now split into per-era/domain
-modules that register into the shared ``_core`` dicts on import.  This
+``_core`` holds the shared ``QUERIES``/``ORACLE`` dicts and the
+``@query`` decorator; eight chunk modules register into them on import:
+``flagships`` (q01-q79), ``corpus_ops`` (q80-q142), ``analytics_a``/
+``analytics_b`` and ``census_a``-``census_d`` (q143-q456).  Helpers live
+in the module that defines them and are imported from there.  This
 package preserves two ordering contracts:
 
 1. **Registration completeness** — importing this package imports every
-   chunk module, so ``QUERIES``/``ORACLE`` hold all entries regardless of
-   which chunk defines them.
+   chunk module, so ``QUERIES``/``ORACLE`` hold all entries.
 2. **Curated driver window** — the grading driver's correctness gate
    samples the FIRST 50 registered queries, so ``_CURATED_FIRST`` pins a
    hand-picked window that exercises every subsystem (relational
@@ -15,19 +17,12 @@ package preserves two ordering contracts:
    politeness, media pipelines incl. audio/video, boilerplate scoring,
    sessions, quantiles, packing, pagerank, incremental indexes) instead
    of only the round-1 basics.  Every other query follows in original
-   registration order, so the full oracle sweep is unchanged.
+   registration order.
 """
 
 from __future__ import annotations
 
-from texrex_ray.pipelines.queries import _core
-from texrex_ray.pipelines.queries._core import (  # noqa: F401
-    ORACLE,
-    QUERIES,
-    _cents,
-    _read,
-    query,
-)
+from texrex_ray.pipelines.queries._core import ORACLE, QUERIES
 from texrex_ray.pipelines.queries import (  # noqa: F401  (registration order)
     flagships,
     corpus_ops,
@@ -38,28 +33,6 @@ from texrex_ray.pipelines.queries import (  # noqa: F401  (registration order)
     census_c,
     census_d,
 )
-
-# Hoist every chunk's module-level symbol so existing
-# ``from texrex_ray.pipelines.queries import X`` imports (tests, tools)
-# keep working exactly as they did against the monolith.  Later chunks
-# win name collisions — the monolith's last-binding semantics.
-import sys as _sys
-
-_self = _sys.modules[__name__]
-for _m in (
-    _core,
-    flagships,
-    corpus_ops,
-    analytics_a,
-    analytics_b,
-    census_a,
-    census_b,
-    census_c,
-    census_d,
-):
-    for _k, _v in list(vars(_m).items()):
-        if not _k.startswith("__"):
-            setattr(_self, _k, _v)
 
 # The driver's CORRECTNESS gate checks the first 50 registered queries —
 # curate that window to sample every subsystem (VERDICT r4 item #1).
@@ -124,11 +97,11 @@ _order = _CURATED_FIRST + [k for k in QUERIES if k not in _first]
 assert len(_order) == len(QUERIES)
 
 # reorder IN PLACE so every access path (this module, _core, chunk
-# modules, the hoisted alias above) sees the same dict object
+# modules) sees the same dict object
 _q = {k: QUERIES[k] for k in _order}
 QUERIES.clear()
 QUERIES.update(_q)
 _o = {k: ORACLE[k] for k in _order if k in ORACLE}
 ORACLE.clear()
 ORACLE.update(_o)
-del _q, _o, _order, _first, _missing, _k, _v, _m, _self, _sys
+del _q, _o, _order, _first, _missing

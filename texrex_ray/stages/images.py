@@ -53,25 +53,6 @@ class ImageDecoder:
         )
 
 
-class ImageResizer:
-    """Actor-pool stage: nearest-neighbor resize to (target, target), stored
-    as a fixed-size raw RGB column ``thumb``."""
-
-    def __init__(self, target: int = 16) -> None:
-        self.target = target
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        thumbs = []
-        t = self.target
-        for raw in batch["bytes"].to_pylist():
-            px = decode_image(raw)
-            h, w, _ = px.shape
-            yi = (np.arange(t) * h // t).clip(0, h - 1)
-            xi = (np.arange(t) * w // t).clip(0, w - 1)
-            thumbs.append(px[yi][:, xi].tobytes())
-        return batch.append_column("thumb", pa.array(thumbs, pa.binary()))
-
-
 class ImageFeatures:
     """Actor-pool stage: per-channel mean/std + 8-bin luminance histogram
     → ``feat: list<float>[14]`` (a model-inference stand-in: weights/model

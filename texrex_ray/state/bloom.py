@@ -7,7 +7,7 @@ appended; membership = any segment hits; adds go to the newest segment.
 Sizing math is the reference's: bits = ⌈−n·ln p / ln²2⌉ + 1, k =
 ⌈ln 2 · bits/n⌉ (trbloom.pas:289-294).  Memory growth stops at
 ``max_memory_mb`` after which adds are refused (OutOfMemory flag,
-trbloom.pas:546-582).
+trbloom.pas:546-582); the first refusal logs a warning.
 
 Implementation: numpy uint8 bit arrays; k indexes derived from one stable
 64-bit hash via the Kirsch–Mitzenmacher double-hashing construction
@@ -19,6 +19,7 @@ so first-wins races never span actors (SURVEY.md §7.4).
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -82,6 +83,9 @@ class ScalingBloom:
         self.max_memory_bytes = max_memory_mb * 1024 * 1024
         self.growth = growth
         self.segments: list[_Segment] = [_Segment(initial_capacity, error_rate)]
+        # read-only history chained from other partitions (hot-host
+        # migration): origin partition -> (its n_added, its segments)
+        self.history: dict[int, tuple[int, list[_Segment]]] = {}
         self.out_of_memory = False
         self.n_added = 0
         self.n_refused = 0  # adds refused once out_of_memory (reported seen)
@@ -102,16 +106,23 @@ class ScalingBloom:
 
     @property
     def memory_bytes(self) -> int:
+        """Bytes of this filter's own segments — what ``max_memory_mb``
+        caps.  Chained history is not counted."""
         return sum(s.arr.nbytes for s in self.segments)
+
+    def _contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        seen = np.zeros(len(h1), dtype=bool)
+        for seg in self.segments:
+            seen |= seg.contains(h1, h2)
+        for _, segs in self.history.values():
+            for seg in segs:
+                seen |= seg.contains(h1, h2)
+        return seen
 
     def contains_many(self, items: list[str]) -> np.ndarray:
         if not items:
             return np.zeros(0, dtype=bool)
-        h1, h2 = self._hash_pair(items)
-        seen = np.zeros(len(items), dtype=bool)
-        for seg in self.segments:
-            seen |= seg.contains(h1, h2)
-        return seen
+        return self._contains(*self._hash_pair(items))
 
     def add_if_new(self, items: list[str]) -> np.ndarray:
         """Per item: True if it was NEW (and is now recorded); first-wins.
@@ -123,9 +134,7 @@ class ScalingBloom:
         if not items:
             return np.zeros(0, dtype=bool)
         h1, h2 = self._hash_pair(items)
-        seen = np.zeros(len(items), dtype=bool)
-        for seg in self.segments:
-            seen |= seg.contains(h1, h2)
+        seen = self._contains(h1, h2)
         new_idx = np.flatnonzero(~seen)
         # resolve intra-batch duplicates sequentially (rare): keep first
         chosen: list[int] = []
@@ -152,18 +161,20 @@ class ScalingBloom:
                 self.n_added += len(chosen)
             else:
                 seen[np.array(chosen)] = True  # refuse adds when OOM
+                if not self.n_refused:
+                    warn_full(self)
                 self.n_refused += len(chosen)
         return ~seen
 
     # -- chaining (hot-shard migration; cuckoo backend has the same API) ----
 
-    def freeze(self) -> None:
-        """Mark all segments full: chained history accepts no adds."""
-        for seg in self.segments:
-            seg.count = seg.capacity
-
-    def chain_base(self, base: "ScalingBloom") -> None:
-        self.segments = base.segments + self.segments
+    def chain_base(self, base: "ScalingBloom", origin: int = 0) -> None:
+        """Chain ``base`` — partition ``origin``'s filter — as read-only
+        history.  History is keyed by origin partition: ``base``'s own
+        segments and each of its history entries replace an older copy of
+        the same origin (the one with fewer adds), so repeated migrations
+        never stack copies.  Adds keep going to this filter's own tail."""
+        chain_history(self.history, base.history, origin, base.n_added, base.segments)
 
     # -- snapshot / restore (checkpointing) --------------------------------
 
@@ -176,10 +187,11 @@ class ScalingBloom:
             "n_added": self.n_added,
             "out_of_memory": self.out_of_memory,
             "n_refused": self.n_refused,
-            "segments": [
-                {"capacity": s.capacity, "count": s.count, "arr": s.arr.tobytes()}
-                for s in self.segments
-            ],
+            "segments": _segments_snapshot(self.segments),
+            "history": {
+                o: {"n_added": n, "segments": _segments_snapshot(segs)}
+                for o, (n, segs) in self.history.items()
+            },
         }
 
     @classmethod
@@ -191,10 +203,48 @@ class ScalingBloom:
         b.n_added = snap["n_added"]
         b.out_of_memory = snap["out_of_memory"]
         b.n_refused = snap["n_refused"]
-        b.segments = []
-        for s in snap["segments"]:
-            seg = _Segment(s["capacity"], b.error_rate)
-            seg.arr = np.frombuffer(s["arr"], dtype=np.uint8).copy()
-            seg.count = s["count"]
-            b.segments.append(seg)
+        b.segments = _segments_restore(snap["segments"], b.error_rate)
+        b.history = {
+            o: (h["n_added"], _segments_restore(h["segments"], b.error_rate))
+            for o, h in snap.get("history", {}).items()
+        }
         return b
+
+
+def _segments_snapshot(segments: list[_Segment]) -> list[dict]:
+    return [
+        {"capacity": s.capacity, "count": s.count, "arr": s.arr.tobytes()}
+        for s in segments
+    ]
+
+
+def _segments_restore(snaps: list[dict], error_rate: float) -> list[_Segment]:
+    out = []
+    for s in snaps:
+        seg = _Segment(s["capacity"], error_rate)
+        seg.arr = np.frombuffer(s["arr"], dtype=np.uint8).copy()
+        seg.count = s["count"]
+        out.append(seg)
+    return out
+
+
+def chain_history(history: dict, incoming: dict, origin: int, n_added: int,
+                  own: list) -> None:
+    """Merge a chained filter's history into ``history`` (both backends):
+    the filter's own parts become ``origin``'s entry, and every entry
+    replaces an existing copy of the same origin unless that copy has more
+    adds (filters grow, so the copy with more adds is the newer one; a
+    cuckoo deletion can only make an older copy win, which keeps the
+    deleted URL marked seen, as chaining always did)."""
+    for o, (n, parts) in {**incoming, origin: (n_added, own)}.items():
+        if o not in history or n >= history[o][0]:
+            history[o] = (n, parts)
+
+
+def warn_full(f) -> None:
+    """One warning per filter, at its first refused add."""
+    logging.getLogger(__name__).warning(
+        "URL-seen %s filter reached max_memory_mb=%g: refusing adds, fresh "
+        "URLs are reported as seen (counted in n_refused)",
+        f.kind, f.max_memory_bytes / (1024 * 1024),
+    )

@@ -3,7 +3,7 @@
 The north rule names a "sharded bloom/cuckoo URL-seen filter"; this is
 the cuckoo half, API-compatible with ``state/bloom.py::ScalingBloom``
 (``contains_many`` / ``add_if_new`` / ``snapshot`` / ``restore`` /
-``freeze`` / ``chain_base``) plus the one capability a Bloom filter
+``chain_base``) plus the one capability a Bloom filter
 cannot offer: ``delete_many`` (retract a URL so it can be re-crawled,
 e.g. after a transient fetch failure, without rebuilding the filter).
 
@@ -35,6 +35,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from texrex_ray.state.bloom import chain_history, warn_full
 
 _EMPTY = 0  # fingerprints are forced nonzero
 
@@ -172,6 +174,9 @@ class ScalingCuckoo:
             _CuckooTable(self._buckets_for(initial_capacity), bucket_size,
                          max_kicks, self.fp_bytes)
         ]
+        # read-only history chained from other partitions (hot-host
+        # migration): origin partition -> (its n_added, its tables)
+        self.history: dict[int, tuple[int, list[_CuckooTable]]] = {}
         self.out_of_memory = False
         self.n_added = 0
         self.n_refused = 0  # adds refused once out_of_memory (reported seen)
@@ -182,12 +187,18 @@ class ScalingCuckoo:
 
     @property
     def memory_bytes(self) -> int:
+        """Bytes of this filter's own tables — what ``max_memory_mb`` caps.
+        Chained history is not counted."""
         return sum(t.memory_bytes for t in self.tables)
 
     # -- membership ---------------------------------------------------------
 
     def _contains_one(self, h: int, fp: int) -> bool:
-        return any(t.contains(h, fp) for t in self.tables)
+        if any(t.contains(h, fp) for t in self.tables):
+            return True
+        return bool(self.history) and any(
+            t.contains(h, fp) for _, tabs in self.history.values() for t in tabs
+        )
 
     def contains_many(self, items: list[str]) -> np.ndarray:
         out = np.zeros(len(items), dtype=bool)
@@ -205,7 +216,7 @@ class ScalingCuckoo:
             if self._contains_one(h, fp):
                 continue
             if self.out_of_memory:
-                self.n_refused += 1  # refuse adds, report as seen (Bloom parity)
+                self._refuse()  # report as seen (Bloom parity)
                 continue
             if not self.tables[-1].insert(h, fp):
                 new_buckets = self.tables[-1].n_buckets * 2
@@ -215,7 +226,7 @@ class ScalingCuckoo:
                 )
                 if projected > self.max_memory_bytes:
                     self.out_of_memory = True
-                    self.n_refused += 1
+                    self._refuse()
                     continue
                 self.tables.append(
                     _CuckooTable(new_buckets, self.bucket_size, self.max_kicks,
@@ -226,13 +237,21 @@ class ScalingCuckoo:
             self.n_added += 1
         return out
 
+    def _refuse(self) -> None:
+        if not self.n_refused:
+            warn_full(self)
+        self.n_refused += 1
+
     def delete_many(self, items: list[str]) -> np.ndarray:
         """Remove one copy per item (newest table first).  Only call for
         items previously inserted (standard cuckoo deletion contract)."""
         out = np.zeros(len(items), dtype=bool)
+        tables = self.tables[::-1] + [
+            t for _, tabs in self.history.values() for t in tabs
+        ]
         for i, s in enumerate(items):
             h, fp = _hash_item(s, self.fp_bytes)
-            for t in reversed(self.tables):
+            for t in tables:
                 if t.delete(h, fp):
                     out[i] = True
                     self.n_added -= 1
@@ -242,11 +261,14 @@ class ScalingCuckoo:
     # -- chaining (hot-shard migration, ScalingBloom API parity) -------------
 
     def freeze(self) -> None:
+        """Mark every table full: the next add opens a new table."""
         for t in self.tables:
             t.full = True
 
-    def chain_base(self, base: "ScalingCuckoo") -> None:
-        self.tables = base.tables + self.tables
+    def chain_base(self, base: "ScalingCuckoo", origin: int = 0) -> None:
+        """Chain ``base`` — partition ``origin``'s filter — as read-only
+        history keyed by origin (see ``ScalingBloom.chain_base``)."""
+        chain_history(self.history, base.history, origin, base.n_added, base.tables)
 
     # -- snapshot / restore (checkpointing) ----------------------------------
 
@@ -261,17 +283,11 @@ class ScalingCuckoo:
             "n_added": self.n_added,
             "out_of_memory": self.out_of_memory,
             "n_refused": self.n_refused,
-            "tables": [
-                {
-                    "n_buckets": t.n_buckets,
-                    "count": t.count,
-                    "full": t.full,
-                    "victim": t.victim,
-                    "kick_state": t._kick_state,
-                    "slots": t.slots.tobytes(),
-                }
-                for t in self.tables
-            ],
+            "tables": [_table_snapshot(t) for t in self.tables],
+            "history": {
+                o: {"n_added": n, "tables": [_table_snapshot(t) for t in tabs]}
+                for o, (n, tabs) in self.history.items()
+            },
         }
 
     @classmethod
@@ -285,17 +301,33 @@ class ScalingCuckoo:
         c.n_added = snap["n_added"]
         c.out_of_memory = snap["out_of_memory"]
         c.n_refused = snap["n_refused"]
-        c.tables = []
-        dtype = np.uint16 if c.fp_bytes == 2 else np.uint32
-        for t in snap["tables"]:
-            tab = _CuckooTable(t["n_buckets"], c.bucket_size, c.max_kicks,
-                               c.fp_bytes)
-            tab.slots = np.frombuffer(t["slots"], dtype=dtype).reshape(
-                t["n_buckets"], c.bucket_size
-            ).copy()
-            tab.count = t["count"]
-            tab.full = t["full"]
-            tab.victim = tuple(t["victim"]) if t["victim"] is not None else None
-            tab._kick_state = t["kick_state"]
-            c.tables.append(tab)
+        c.tables = [c._table_restore(t) for t in snap["tables"]]
+        c.history = {
+            o: (h["n_added"], [c._table_restore(t) for t in h["tables"]])
+            for o, h in snap.get("history", {}).items()
+        }
         return c
+
+    def _table_restore(self, t: dict) -> _CuckooTable:
+        dtype = np.uint16 if self.fp_bytes == 2 else np.uint32
+        tab = _CuckooTable(t["n_buckets"], self.bucket_size, self.max_kicks,
+                           self.fp_bytes)
+        tab.slots = np.frombuffer(t["slots"], dtype=dtype).reshape(
+            t["n_buckets"], self.bucket_size
+        ).copy()
+        tab.count = t["count"]
+        tab.full = t["full"]
+        tab.victim = tuple(t["victim"]) if t["victim"] is not None else None
+        tab._kick_state = t["kick_state"]
+        return tab
+
+
+def _table_snapshot(t: _CuckooTable) -> dict:
+    return {
+        "n_buckets": t.n_buckets,
+        "count": t.count,
+        "full": t.full,
+        "victim": t.victim,
+        "kick_state": t._kick_state,
+        "slots": t.slots.tobytes(),
+    }

@@ -2,8 +2,7 @@
 
 The north rule's URL-seen set is a "sharded bloom/cuckoo filter"; both
 backends expose the same first-wins API (``contains_many`` /
-``add_if_new`` / ``freeze`` / ``chain_base`` / ``snapshot`` /
-``restore``), so the crawl engine, its sequential oracle, and the
+``add_if_new`` / ``chain_base`` / ``snapshot`` / ``restore``), so the crawl engine, its sequential oracle, and the
 priority crawler pick one via ``CrawlConfig.url_seen_backend`` and stay
 decision-identical at test scale (both are false-negative-free; neither
 false-positives on the fixture corpus sizes — proven by the

@@ -3270,7 +3270,7 @@ def gen_rectunion() -> None:
     """Expected q350 union area from the INDEPENDENT x-strip +
     y-interval-merge twin over the unsliced rectangle set."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import _order_rects
+    from texrex_ray.pipelines.queries.census_c import _order_rects
 
     o = pq.read_table(f"{SF_DIR}/orders.parquet",
                       columns=["o_orderkey"]).to_pandas()
@@ -3426,7 +3426,7 @@ def gen_mmr() -> None:
     """Expected q360 MMR selection from the INDEPENDENT serial numpy
     twin (full candidate matrix, argmax per round)."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import _MMR_K, _embed_int
+    from texrex_ray.pipelines.queries.census_c import _MMR_K, _embed_int
 
     t = pq.read_table(f"{SF_DIR}/embeddings.parquet",
                       columns=["vec_id", "embedding"]).to_pandas()
@@ -3465,7 +3465,7 @@ def gen_down_tiles_hemd() -> None:
     accumulated EMD."""
     import pandas as pd
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import _HEMD_BINS
+    from texrex_ray.pipelines.queries.census_c import _HEMD_BINS
     from texrex_ray.sources.images import decode_image
 
     d = fixture_path(n=300, seed=42)
@@ -3555,7 +3555,7 @@ def gen_rake() -> None:
     import pandas as pd
     import re
     from collections import Counter
-    from texrex_ray.pipelines.queries import _RAKE_STOP
+    from texrex_ray.pipelines.queries.census_c import _RAKE_STOP
 
     tok_re = re.compile(r"[a-z]+")
     docs = pq.read_table(f"{SF_DIR}/documents.parquet",
@@ -3649,9 +3649,9 @@ def gen_iblt_sq8_lblob() -> None:
     IBLT peel, full-matrix quantization recall, BFS flood fill."""
     import pandas as pd
     from collections import deque
-    from texrex_ray.pipelines.queries import (_SQ_K, _SQ_NQ, _embed_int,
-                                              iblt_check, iblt_insert,
-                                              iblt_peel, iblt_size)
+    from texrex_ray.pipelines.queries.census_c import (
+        _SQ_K, _SQ_NQ, _embed_int, iblt_check, iblt_insert, iblt_peel, iblt_size,
+    )
 
     # --- q370: serial IBLT over the exact sets
     import duckdb
@@ -3766,7 +3766,7 @@ def gen_palin() -> None:
     """Expected q373 per-source palindrome stats from the INDEPENDENT
     center-expansion twin."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import longest_palindrome_brute
+    from texrex_ray.pipelines.queries.census_c import longest_palindrome_brute
 
     docs = pq.read_table(f"{SF_DIR}/documents.parquet",
                          columns=["source", "text"]).to_pandas()
@@ -3786,8 +3786,9 @@ def gen_viterbi() -> None:
     """Expected q376 summary from the INDEPENDENT backward-recursion
     Viterbi twin."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import (_vit_matrices,
-                                              viterbi_best_backward)
+    from texrex_ray.pipelines.queries.census_c import (
+        _vit_matrices, viterbi_best_backward,
+    )
 
     ev = pq.read_table(f"{SF_DIR}/events.parquet",
                        columns=["user_id", "ts", "event_id", "event_type"]
@@ -3853,9 +3854,9 @@ def gen_tiledup_densest_vopt() -> None:
     from collections import defaultdict
     from fractions import Fraction
     from texrex_ray.pipelines.caption import fixture_path
-    from texrex_ray.pipelines.queries import (_TILEH_MIN_SHARED,
-                                              _VOPT_BASE, _VOPT_K,
-                                              image_tile_hashes)
+    from texrex_ray.pipelines.queries.census_c import (
+        _TILEH_MIN_SHARED, _VOPT_BASE, _VOPT_K, image_tile_hashes,
+    )
     from texrex_ray.sources.images import decode_image
 
     # --- q382 twin
@@ -3974,7 +3975,8 @@ def gen_pitch_shots() -> None:
     REGENERATED raw PCM (quantization applied arithmetically, codec
     path untouched) and shot stats via a struct-unpack video parser."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import _av_n, pitch_lag, shot_stats
+    from texrex_ray.pipelines.queries.census_c import pitch_lag, shot_stats
+    from texrex_ray.pipelines.queries.flagships import _av_n
     from texrex_ray.sources.av import (AUDIO_QUANT, _synth_pcm,
                                        fixture_path as av_fixture)
 
@@ -4032,8 +4034,9 @@ def gen_pca_dtw() -> None:
     """Expected q391/q392 outputs from the INDEPENDENT twins
     (pca_power_twin scalar loops; dtw_band_twin memoized recursion)."""
     import pandas as pd
-    from texrex_ray.pipelines.queries import (_DTW_BAND, dtw_band_twin,
-                                              pca_power_twin)
+    from texrex_ray.pipelines.queries.census_d import (
+        _DTW_BAND, dtw_band_twin, pca_power_twin,
+    )
 
     emb = pq.read_table(f"{SF_DIR}/embeddings.parquet",
                         columns=["embedding"]).to_pandas()
@@ -6439,6 +6442,7 @@ def main() -> None:
     gen_bpcs()
     gen_tiledup_densest_vopt()
     gen_pitch_shots()
+    gen_crossmodal()
 
 
 if __name__ == "__main__":
