@@ -128,9 +128,8 @@ def test_url_seen_refusals_are_counted_and_restored(graph, pages):
 
 
 def _n_segments(f) -> int:
-    """Own plus chained-history segments (Bloom) or tables (cuckoo)."""
-    own = f.segments if f.kind == "bloom" else f.tables
-    return len(own) + sum(len(parts) for _, parts in f.history.values())
+    """Own plus chained-history segments."""
+    return len(f.segments) + sum(len(parts) for _, parts in f.history.values())
 
 
 @pytest.mark.parametrize("backend", ["bloom", "cuckoo"])

@@ -14,7 +14,7 @@ def test_cuckoo_membership_and_no_false_negatives():
     keys = [f"k:{i}" for i in range(2000)]  # forces table scaling
     fresh = ck.add_if_new(keys)
     assert fresh.all()
-    assert len(ck.tables) >= 2
+    assert len(ck.segments) >= 2
     # cuckoo filters never produce false negatives
     assert ck.contains_many(keys).all()
     # re-add is idempotent

@@ -219,6 +219,10 @@ class WalkPartition(PartitionCore):
                    n_shards: int = 1):
         """Per (walker_id, url, action), in walker-id order: gate through
         politeness + robots, fetch, URL-seen dedup, buffer corpus rows.
+        The round's fetched URLs go to the URL-seen filter in one call;
+        first-wins within a batch follows list order, so up to the
+        filter's false positives the decisions equal one add per URL in
+        (walker_id, url) order, as in ``crawl/oracle.py``.
 
         Returns ``1 + n_shards`` values (call with
         ``.options(num_returns=1 + n_shards)``): a meta list
@@ -228,19 +232,16 @@ class WalkPartition(PartitionCore):
         through the object store — link lists are ~95% of the result bytes
         and the driver never needs them."""
         t0 = time.perf_counter()
-        meta: list[tuple[int, str, bool]] = []
-        shard_links: list[list[tuple[int, list[str]]]] = [[] for _ in range(n_shards)]
+        done: list[tuple] = []  # (wid, url, action, host, verdict, fetch result)
         for wid, url, action in sorted(items):
             host = host_of(url)
             w = self.gate(url, host, now)
             if w < 0:
-                meta.append((wid, "fail", False))
-                shard_links[wid % n_shards].append((wid, "fail", None))
+                done.append((wid, url, action, host, "fail", None))
                 continue
             if w > 0:
                 self.metrics["waits"] += 1
-                meta.append((wid, "wait", False))
-                shard_links[wid % n_shards].append((wid, "wait", None))
+                done.append((wid, url, action, host, "wait", None))
                 continue
             if self.cfg.add_random_wait_up_to > 0:
                 # extra politeness jitter (ref: AddRandomWaitUpTo at
@@ -252,8 +253,7 @@ class WalkPartition(PartitionCore):
                 )
                 if extra > 0:
                     self.metrics["jitter_waits"] += 1
-                    meta.append((wid, "wait", False))
-                    shard_links[wid % n_shards].append((wid, "wait", None))
+                    done.append((wid, url, action, host, "wait", None))
                     continue
             self.pm.retrieved(url, now)
             self.metrics["gated_fetches"] += 1
@@ -261,10 +261,18 @@ class WalkPartition(PartitionCore):
             fr = fetch_parse(self.pages, url, self.cfg)
             if not fr.ok:
                 self.metrics["failed_fetches"] += 1
-                meta.append((wid, "fail", False))
-                shard_links[wid % n_shards].append((wid, "fail", None))
+                done.append((wid, url, action, host, "fail", None))
                 continue
-            is_new = bool(self.add_if_new([url])[0])
+            done.append((wid, url, action, host, "ok", fr))
+        fresh = iter(self.add_if_new([d[1] for d in done if d[4] == "ok"]).tolist())
+        meta: list[tuple[int, str, bool]] = []
+        shard_links: list[list[tuple[int, list[str]]]] = [[] for _ in range(n_shards)]
+        for wid, url, action, host, verdict, fr in done:
+            if verdict != "ok":
+                meta.append((wid, verdict, False))
+                shard_links[wid % n_shards].append((wid, verdict, None))
+                continue
+            is_new = next(fresh)
             if is_new:
                 self.metrics["outputs"] += 1
                 row = {

@@ -132,9 +132,8 @@ class PartitionCore:
         migrated hosts keep no false negatives (first-wins) at a small
         false-positive cost.  History is keyed by origin partition, so a
         repeated attach replaces the older copy instead of adding one."""
-        self.seen.chain_base(restore_url_seen(export["seen"]), export["origin"])
-        # this partition's own live filter already holds its own history
-        self.seen.history.pop(self.part_id, None)
+        self.seen.chain_base(restore_url_seen(export["seen"]), export["origin"],
+                             own=self.part_id)
 
     # -- checkpoint --------------------------------------------------------
 

@@ -102,10 +102,9 @@ def bloom_dedup_hashes(
     import ray
 
     from texrex_ray.functions.hashing import md5_hex, stable_hash64
-    from texrex_ray.state.bloom import ScalingBloom
-    from texrex_ray.state.cuckoo import ScalingCuckoo
+    from texrex_ray.state.urlseen import url_seen_class
 
-    seen_cls = {"bloom": ScalingBloom, "cuckoo": ScalingCuckoo}[backend]
+    seen_cls = url_seen_class(backend)
 
     @ray.remote(num_cpus=0)
     class SeenShard:

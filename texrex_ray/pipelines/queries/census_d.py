@@ -1457,10 +1457,9 @@ def q406_cuckoo_fpr_audit(sf_dir: str):
     return pd.DataFrame({
         "n_keys": [len(keys)],
         "n_added": [n_added],
-        "n_tables": [len(ck.tables)],
-        "total_slots": [sum(t.n_buckets * t.bucket_size
-                            for t in ck.tables)],
-        "used_slots": [sum(t.count for t in ck.tables)],
+        "n_tables": [len(ck.segments)],
+        "total_slots": [sum(t.slots.size for t in ck.segments)],
+        "used_slots": [sum(t.count for t in ck.segments)],
         "n_probes": [CUCKOO_AUDIT_PROBES],
         "n_fp": [n_fp],
         "fpr_ppm": [n_fp * 1_000_000 // CUCKOO_AUDIT_PROBES],
