@@ -55,6 +55,42 @@ def test_engine_deterministic_across_layouts(graph):
     assert runs[0][1] == runs[1][1]
 
 
+def test_engine_one_worker_per_index_more_shards_than_partitions(graph):
+    """Layouts with S > P (and S < P) start max(S, P) workers, and give
+    the same visit order and URL-seen set as one shard on one partition."""
+    cfg = CrawlConfig()
+    runs = []
+    for n_parts, n_shards in ((1, 1), (1, 4), (3, 2)):
+        eng = CrawlEngine(
+            graph, n_walkers=4, n_partitions=n_parts,
+            n_walker_shards=n_shards, seed=42, config=cfg,
+        )
+        assert len(eng.workers) == max(n_shards, n_parts)
+        eng.run(max_steps=100)
+        runs.append((eng.visit_order(), eng.url_seen()))
+        eng.shutdown()
+    for order, seen in runs[1:]:
+        assert order == runs[0][0]
+        assert seen == runs[0][1]
+
+
+def test_crawl_modules_import_without_polars_or_pandas():
+    """Crawl workers import only the crawl path: neither engine module may
+    pull in polars or pandas (each adds tens of MB to every worker)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, texrex_ray.crawl.engine, texrex_ray.crawl.priority\n"
+        "print(sorted(m for m in ('polars', 'pandas') if m in sys.modules))"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=repo)
+    assert out.stdout.strip() == "[]"
+
+
 def test_robots_and_politeness_respected(graph):
     cfg = CrawlConfig()
     eng = CrawlEngine(graph, n_walkers=4, n_partitions=4, seed=1, config=cfg)

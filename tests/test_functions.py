@@ -229,3 +229,27 @@ def test_langid_profiles_and_accuracy(ray_session):
     assert acc >= 0.95, acc
     out2 = classify_langid(ds.repartition(11), prof).to_pandas().sort_values("doc_id")
     assert out.sort_values("doc_id")["pred_lang"].tolist() == out2["pred_lang"].tolist()
+
+
+def test_strip_html_nameless_slash_tag():
+    """``</>``, ``<//>`` and ``<\\t/ >`` count as nameless close tags (as
+    ``</ /p>`` does) instead of raising, so a page carrying one keeps its
+    links and divs through ``strip_html`` and ``fetch_parse``."""
+    from texrex_ray.crawl.fetcher import DictTransport, fetch_parse
+    from texrex_ray.crawl.policy import CrawlConfig
+    from texrex_ray.functions.striphtml import strip_html
+
+    for bad in ("</>", "<//>", "<\t/ >"):
+        html = (f'<html><body><p>x <a href="/next">n</a></p>{bad}'
+                "<div>y</div></body></html>")
+        sr = strip_html(html)
+        assert sr.divs == ["x n", "y"]
+        assert sr.links == ["/next"]
+        assert sr == strip_html(html.replace(bad, "</ /p>"))
+        url = "http://a.example/"
+        fr = fetch_parse(
+            DictTransport({url: (200, html.encode(), "utf-8", None)}), url,
+            CrawlConfig(),
+        )
+        assert fr.ok and fr.divs == ["x n", "y"]
+        assert fr.links == ["http://a.example/next"]

@@ -3,29 +3,33 @@
 Re-architecture of the reference's single-threaded walker (ref:
 trwalkers.pas:858-997, SURVEY.md §3.2) per the north rule:
 
-- **Walker shards** (actor pool): each holds a group of walkers' stacks,
-  RNGs and document caches — the walk state.  K walkers is the *logical*
+- **Walker shards**: each holds a group of walkers' stacks, RNGs and
+  document caches — the walk state.  K walkers is the *logical*
   parallelism and is fixed; shard/partition counts are physical and can
   change without changing any decision (determinism across cluster sizes).
-- **Frontier partitions** (actor pool): partition = ``hash(host) % P``;
-  each holds the per-host politeness + robots state and its Bloom URL-seen
-  segment, so first-wins races never span actors.  Gate decisions within a
-  partition process proposals in walker-id order → deterministic under any
-  physical layout.
-- **Fetch** runs as Ray tasks over URL batches against the broadcast
-  (``ray.put``) synthetic web graph; fetch+strip+scope per URL.
+- **Frontier partitions**: partition = ``hash(host) % P``; each holds the
+  per-host politeness + robots state and its URL-seen filter, so
+  first-wins races never span actors.  Gate decisions within a partition
+  process proposals in walker-id order → deterministic under any physical
+  layout.
+- **One actor per index**: ``CrawlWorker`` k hosts walker shard k (k < S)
+  and partition k (k < P), so S shards and P partitions start max(S, P)
+  worker processes, like the reference keeping a walker's stack,
+  politeness lookups and URL-seen checks in one address space.
+- **Fetch** runs inside each partition's ``gate_fetch`` call, against the
+  broadcast (``ray.put``) pages transport; fetch+strip+scope per URL.
 - The round loop: propose → gate (politeness/robots) → fetch → deliver
-  links / record output (Bloom first-wins) → next round.  One round ≡ one
-  virtual second.  The single-walker projection reproduces the sequential
-  oracle's visit order and URL-seen set exactly (tested).
+  links / record output (URL-seen first-wins) → next round.  One round ≡
+  one virtual second.  The single-walker projection reproduces the
+  sequential oracle's visit order and URL-seen set exactly (tested).
 - **Checkpoint/resume**: every ``checkpoint_every`` rounds each state
   holder snapshots (walker stacks+RNG, politeness, URL-seen filter,
   metrics) into one committed checkpoint; corpus and visit-log rows flush
   to parquet per checkpoint window.  Layout and protocol:
   ``state/commit.py``, shared with the priority engine.
 
-At real-web scale the fetch stage becomes an HTTP actor pool with
-sessions (same interface); everything else is unchanged.
+At real-web scale the fetch stage becomes an HTTP transport with sessions
+(same interface); everything else is unchanged.
 """
 
 from __future__ import annotations
@@ -69,15 +73,16 @@ class CrawlStats:
     partition_metrics: dict = field(default_factory=dict)
 
 
-@ray.remote
-class WalkerShardActor:
-    """A group of walkers; propose/deliver in walker-id order."""
+class WalkerShard:
+    """A group of walkers; propose/deliver in walker-id order.  Plain
+    Python: ``CrawlWorker`` hosts it beside a partition, and it shares
+    that partition's ``cfg`` (one ``reconfigure`` updates both)."""
 
-    def __init__(self, walker_ids: list[int], seeds_by_walker: dict[int, list[str]],
-                 seed: int, cfg: CrawlConfig):
+    def __init__(self, seeds_by_walker: dict[int, list[str]], seed: int,
+                 cfg: CrawlConfig):
         self.cfg = cfg
         self.walkers = {
-            wid: Walker(wid, seeds_by_walker[wid], seed, cfg) for wid in walker_ids
+            wid: Walker(wid, seeds, seed, cfg) for wid, seeds in seeds_by_walker.items()
         }
 
     def propose_all(self) -> list[tuple[int, str, str, bool]]:
@@ -175,16 +180,10 @@ class WalkerShardActor:
                 n += 1
         return n
 
-    def reconfigure(self, changes: dict) -> None:
-        """Apply config updates to future decisions (texcomm queue-resize
-        analogue: e.g. max_links_per_step, max_cache, jump probability)."""
-        for k, v in changes.items():
-            setattr(self.cfg, k, v)
-
-    def snapshot(self) -> bytes:
+    def snapshot_walkers(self) -> bytes:
         return pickle.dumps({wid: w.snapshot() for wid, w in self.walkers.items()})
 
-    def restore(self, blob: bytes) -> None:
+    def restore_walkers(self, blob: bytes) -> None:
         snaps = pickle.loads(blob)
         self.walkers = {
             wid: Walker.restore(s, self.cfg) for wid, s in snaps.items()
@@ -299,7 +298,18 @@ class WalkPartition(PartitionCore):
         return (meta, *shard_links)
 
 
-FrontierPartActor = ray.remote(WalkPartition)
+@ray.remote
+class CrawlWorker(WalkPartition, WalkerShard):
+    """The walk engine's one actor: partition ``index`` and walker shard
+    ``index``.  The engine starts max(S, P) of them; a worker past S has
+    no walkers and one past P gets no partition calls.  Walkers and
+    partition share one ``cfg`` object."""
+
+    def __init__(self, index: int, seeds_by_walker: dict[int, list[str]],
+                 seed: int, robots_map: dict[str, str | None], pages,
+                 cfg: CrawlConfig):
+        WalkPartition.__init__(self, index, robots_map, pages, cfg)
+        WalkerShard.__init__(self, seeds_by_walker, seed, cfg)
 
 
 def partition_of(
@@ -357,25 +367,21 @@ class CrawlEngine:
         )
 
         seeds_split = split_seeds(graph.seeds, n_walkers)
-        shard_members: dict[int, list[int]] = {s: [] for s in range(self.n_walker_shards)}
-        for wid in range(n_walkers):
-            shard_members[wid % self.n_walker_shards].append(wid)
-        self.shards = [
-            WalkerShardActor.remote(
-                shard_members[s],
-                {wid: seeds_split[wid] for wid in shard_members[s]},
-                seed,
-                self.cfg,
+        S = self.n_walker_shards
+        # worker k is walker shard k and partition k.  robots maps are
+        # small; every partition gets the full dict (a real deployment
+        # would slice by host-hash — the lookup key is the same).  pages go
+        # once via the broadcast ref (deserialized once per actor).
+        self.workers = [
+            CrawlWorker.remote(
+                k,
+                {wid: seeds_split[wid] for wid in range(n_walkers) if wid % S == k},
+                seed, graph.robots, self.pages_ref, self.cfg,
             )
-            for s in range(self.n_walker_shards)
+            for k in range(max(S, self.n_partitions))
         ]
-        # robots maps are small; every partition gets the full dict (a real
-        # deployment would slice by host-hash — the lookup key is the same).
-        # pages go once via the broadcast ref (deserialized once per actor).
-        self.parts = [
-            FrontierPartActor.remote(p, graph.robots, self.pages_ref, self.cfg)
-            for p in range(self.n_partitions)
-        ]
+        self.shards = self.workers[:S]
+        self.parts = self.workers[: self.n_partitions]
         self.round = 0
         self.steps = 0
         # UNFLUSHED visit rows only: (round, walker, url, host, action,
@@ -395,7 +401,7 @@ class CrawlEngine:
         from texrex_ray.functions.hashing import doc_id_for_url
 
         rows = []
-        for blob in ray.get([s.snapshot.remote() for s in self.shards]):
+        for blob in ray.get([s.snapshot_walkers.remote() for s in self.shards]):
             for wid, snap in pickle.loads(blob).items():
                 for depth, (url, links) in enumerate(snap["stack"]):
                     rows.append((wid, depth, url, doc_id_for_url(url),
@@ -485,25 +491,26 @@ class CrawlEngine:
         )
 
     def reconfigure(self, **changes) -> None:
-        """Broadcast config updates to every actor and the driver copy.
-        Affects future decisions only (no retroactive state rewrite), like
+        """Broadcast config updates to every worker and the driver copy
+        (e.g. max_links_per_step, max_cache, jump probability).  Affects
+        future decisions only (no retroactive state rewrite), like
         texcomm's live queue-resize."""
         for k, v in changes.items():
             if not hasattr(self.cfg, k):
                 raise AttributeError(f"unknown CrawlConfig field: {k}")
             setattr(self.cfg, k, v)
-        ray.get(
-            [a.reconfigure.remote(changes) for a in list(self.shards) + list(self.parts)]
-        )
+        ray.get([a.reconfigure.remote(changes) for a in self.workers])
 
     def shutdown(self) -> None:
-        """Kill the engine's actors, releasing their CPU reservations.
+        """Kill the engine's workers: their processes exit and free the
+        memory they hold (pages, walker and partition state, imports).
 
-        Each actor reserves one CPU; a finished crawl would otherwise starve
-        subsequent Dataset stages in the same session."""
-        for a in self.shards + self.parts:
+        With default options an actor holds its CPU only while it is
+        being placed, so idle workers do not block later Dataset stages;
+        they only keep their memory until killed."""
+        for a in self.workers:
             ray.kill(a)
-        self.shards, self.parts = [], []
+        self.workers, self.shards, self.parts = [], [], []
 
     # -- skew handling -----------------------------------------------------
 
@@ -637,6 +644,11 @@ class CrawlEngine:
         # PARALLEL with that work instead of gating it (measured: the
         # verdict-routing hop was ~40% of round latency).  Cache acks stay
         # driver-routed (invariant: cache steps are driver-recorded).
+        # No deadlock although worker k may block in ray.get on worker j's
+        # payload: every gate_fetch above was submitted before any
+        # resolve_and_propose, and an actor runs one caller's calls in
+        # submission order, so j has already run (or is running) its
+        # gate_fetch, which waits on nothing.
         next_futs = [
             self.shards[s].resolve_and_propose.remote(
                 cache_acks.get(s, []),
@@ -706,7 +718,7 @@ class CrawlEngine:
         # flush BEFORE snapshotting so restored corpus buffers are empty
         # (no double-write after resume)
         self._flush_outputs()
-        shard_blobs = ray.get([s.snapshot.remote() for s in self.shards])
+        shard_blobs = ray.get([s.snapshot_walkers.remote() for s in self.shards])
         part_blobs = ray.get([p.snapshot.remote() for p in self.parts])
         part_metrics = ray.get([p.get_metrics.remote() for p in self.parts])
         meta = {
@@ -754,7 +766,7 @@ class CrawlEngine:
         shard_blobs = ck.blobs("shard", eng.n_walker_shards)
         part_blobs = ck.blobs("part", eng.n_partitions)
         # batched: all restores deserialize in parallel
-        ray.get([s.restore.remote(b) for s, b in zip(eng.shards, shard_blobs)]
+        ray.get([s.restore_walkers.remote(b) for s, b in zip(eng.shards, shard_blobs)]
                 + [p.restore.remote(b) for p, b in zip(eng.parts, part_blobs)])
         eng.round = meta["round"]
         eng.steps = meta["steps"]

