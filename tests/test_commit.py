@@ -6,7 +6,10 @@ way a dead Ray driver process would, resumes, and requires the finished
 crawl to be the uninterrupted one: the same visit order and every corpus
 URL written exactly once."""
 
+import ast
+import glob
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -211,3 +214,62 @@ def test_resume_rejects_changed_inputs(graph, tmp_path):
     other = make_webgraph(n_hosts=7, pages_per_host_base=6, n_seeds=4, seed=3)
     with pytest.raises(ValueError, match=r"graph\.hosts: stored"):
         PriorityCrawlEngine.resume(other, d)
+
+
+# what a parent-written checkpoint holds; a resume reads exactly these
+META_KEYS = {
+    "walk": {"round", "steps", "outputs", "n_walkers", "n_partitions",
+             "n_walker_shards", "seed", "salt", "config", "graph"},
+    "priority": {"round", "fetched", "n_partitions", "budget", "salt", "config", "graph"},
+}
+PART_LINEAGE = {
+    "walk": {"part_id", "metrics", "corpus_files", "state_bytes"},
+    "priority": {"part_id", "metrics", "frontier_size", "corpus_files", "state_bytes"},
+}
+
+
+@pytest.mark.parametrize("engine", ["walk", "priority"])
+def test_checkpoint_layout_is_pinned(engine, graph, tmp_path):
+    """The files, ``meta.json`` keys and lineage keys of a committed round,
+    per engine: checkpoints written by earlier code must still resume."""
+    E = ENGINES[engine]
+    d = str(tmp_path)
+    eng = E.make(graph, d)
+    E.run(eng, max_rounds=EVERY)
+    eng.shutdown()
+    ck = commit.latest(d)
+    blobs = ["part-0.pkl"] + (["shard-0.pkl"] if engine == "walk" else [])
+    assert sorted(os.listdir(ck.path)) == sorted(
+        ["COMMIT", "lineage.json", "meta.json"] + blobs)
+    assert set(ck.meta) == META_KEYS[engine]
+    with open(os.path.join(ck.path, "lineage.json")) as f:
+        lineage = json.load(f)
+    assert set(lineage) == {"round", "visits_files", "partitions"} | (
+        {"shards"} if engine == "walk" else set())
+    assert [set(p) for p in lineage["partitions"]] == [PART_LINEAGE[engine]]
+    if engine == "walk":
+        assert [set(s) for s in lineage["shards"]] == [{"shard_id", "state_bytes"}]
+
+
+def _imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return names
+
+
+def test_commit_protocol_has_one_driver_home():
+    """Among the crawl modules only the engine shell (driver side) and the
+    partition core (actor side) use the commit protocol, and the priority
+    engine does not import the walk engine."""
+    crawl = os.path.join(os.path.dirname(commit.__file__), "..", "crawl")
+    users = sorted(
+        os.path.basename(p) for p in glob.glob(os.path.join(crawl, "*.py"))
+        if "texrex_ray.state.commit" in _imported_modules(p)
+    )
+    assert users == ["partition.py", "shell.py"]
+    assert "texrex_ray.crawl.engine" not in _imported_modules(
+        os.path.join(crawl, "priority.py"))

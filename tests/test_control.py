@@ -1,6 +1,9 @@
 """texcomm-equivalent control surface: dashboard, peek, walker add/remove,
 live reconfigure (ref verbs: src/programs/texcomm.pas, trtexrex.pas:548-798)."""
 
+import os
+
+import pyarrow.parquet as pq
 import pytest
 
 from texrex_ray.crawl.engine import CrawlEngine
@@ -59,6 +62,36 @@ def test_reconfigure_live(graph, ray_session):
             eng.reconfigure(not_a_field=1)
     finally:
         eng.shutdown()
+
+
+def test_reconfigure_politeness_spaces_fetches_across_resume(graph, ray_session, tmp_path):
+    """After ``reconfigure(min_politeness=5)`` one host's non-cached
+    fetches are at least 5 rounds apart, also once the crawl has been
+    checkpointed, shut down and resumed."""
+    d = str(tmp_path / "crawl")
+    eng = CrawlEngine(graph, n_walkers=4, n_partitions=2, seed=11,
+                      config=CrawlConfig(), out_dir=d)
+    eng.run(max_steps=30)
+    eng.reconfigure(min_politeness=5)
+    start = eng.round
+    eng.run(max_steps=90)
+    eng.checkpoint()
+    eng.shutdown()
+    eng = CrawlEngine.resume(graph, d)
+    resumed_at = eng.round
+    try:
+        eng.run(max_steps=150)  # flushes every visit row at the end
+    finally:
+        eng.shutdown()
+    t = pq.read_table(os.path.join(d, "visits"), columns=["round", "host", "cached"])
+    by_host: dict[str, list[int]] = {}
+    for rnd, host, cached in zip(*(t[c].to_pylist() for c in t.column_names)):
+        if not cached and rnd >= start:
+            by_host.setdefault(host, []).append(rnd)
+    gaps = [(h, b - a, b) for h, rs in by_host.items()
+            for a, b in zip(sorted(rs), sorted(rs)[1:])]
+    assert all(g >= 5 for _, g, _ in gaps), gaps
+    assert sum(1 for *_, b in gaps if b >= resumed_at) >= 5  # checked after resume
 
 
 def test_control_does_not_perturb_fidelity(graph, ray_session):

@@ -97,6 +97,18 @@ def test_host_export_import_matches_politeness_snapshot(kind, graph, pages):
         assert not [it for it in src.heap if host_of(it[2]) in hosts]
 
 
+def test_reconfigure_reaches_politeness():
+    """A live politeness change applies to the partition's gate, not only
+    to its config: a host's second URL waits the new delay."""
+    part = WalkPartition(0, {}, None, CrawlConfig())
+    part.reconfigure({"min_politeness": 5, "robots_refresh_interval": 7})
+    assert (part.pm.min_politeness, part.pm.robots_refresh_interval) == (5, 7)
+    assert part.gate("http://a.example/1", "a.example", 0) == 0
+    part.pm.retrieved("http://a.example/1", 0)
+    waits = [part.gate("http://a.example/2", "a.example", now) for now in range(1, 7)]
+    assert [w > 0 for w in waits] == [True] * 4 + [False] * 2
+
+
 @pytest.mark.parametrize("backend", ["bloom", "cuckoo"])
 def test_url_seen_full_filter_survives_restore(backend):
     """A filter that hit its memory cap keeps refusing adds after a

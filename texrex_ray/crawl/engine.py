@@ -25,8 +25,10 @@ trwalkers.pas:858-997, SURVEY.md §3.2) per the north rule:
 - **Checkpoint/resume**: every ``checkpoint_every`` rounds each state
   holder snapshots (walker stacks+RNG, politeness, URL-seen filter,
   metrics) into one committed checkpoint; corpus and visit-log rows flush
-  to parquet per checkpoint window.  Layout and protocol:
-  ``state/commit.py``, shared with the priority engine.
+  to parquet per checkpoint window.  The driver half (flush, checkpoint,
+  resume, readers, host moves, shutdown) is ``crawl/shell.py``'s
+  ``EngineShell``, shared with the priority engine; the on-disk layout
+  and commit protocol are ``state/commit.py``.
 
 At real-web scale the fetch stage becomes an HTTP transport with sessions
 (same interface); everything else is unchanged.
@@ -46,17 +48,10 @@ import ray
 from texrex_ray.crawl.fetcher import fetch_parse
 from texrex_ray.crawl.partition import PartitionCore
 from texrex_ray.crawl.policy import CrawlConfig, Walker, split_seeds
+from texrex_ray.crawl.shell import EngineShell, partition_of
 from texrex_ray.functions.hashing import stable_hash64
 from texrex_ray.functions.urlkit import host_of
 from texrex_ray.sources.webgraph import WebGraph
-from texrex_ray.state import commit
-
-# visit-log columns, in the order of the driver's visit_rows tuples
-VISIT_COLUMNS = [
-    ("round", pa.int64()), ("walker_id", pa.int64()), ("url", pa.string()),
-    ("host", pa.string()), ("action", pa.string()), ("cached", pa.bool_()),
-]
-
 
 @dataclass
 class CrawlStats:
@@ -312,26 +307,13 @@ class CrawlWorker(WalkPartition, WalkerShard):
         WalkerShard.__init__(self, seeds_by_walker, seed, cfg)
 
 
-def partition_of(
-    hosts: list[str], n_partitions: int, salt: dict[str, int] | None = None
-) -> np.ndarray:
-    """hash(host) % P, with explicit per-host overrides (the salt map used
-    to split/relocate hot shards — north-rule skew handling).
-
-    The hash is blake2b-based (``stable_hash64``): routing must survive a
-    resume across library upgrades, or per-host politeness state and Bloom
-    segments silently end up on the wrong partition."""
-    parts = (stable_hash64(hosts, seed=7) % np.uint64(n_partitions)).astype(np.int64)
-    if salt:
-        for i, h in enumerate(hosts):
-            ov = salt.get(h)
-            if ov is not None:
-                parts[i] = ov
-    return parts
-
-
-class CrawlEngine:
+class CrawlEngine(EngineShell):
     """Round-based distributed crawl over a synthetic web graph."""
+
+    VISIT_COLUMNS = [
+        ("round", pa.int64()), ("walker_id", pa.int64()), ("url", pa.string()),
+        ("host", pa.string()), ("action", pa.string()), ("cached", pa.bool_()),
+    ]
 
     def __init__(
         self,
@@ -345,33 +327,22 @@ class CrawlEngine:
         out_dir: str | None = None,
         transport=None,
     ):
-        from texrex_ray.crawl.fetcher import ArrowPagesTransport
-
-        self.graph = graph
-        self.cfg = config or CrawlConfig()
-        self.seed = seed
-        self.n_walkers = n_walkers
-        self.n_partitions = n_partitions
-        self.n_walker_shards = n_walker_shards or min(n_walkers, 8)
-        self.out_dir = out_dir
         # the network seam: anything with get(url) -> page tuple | None
         # (crawl/fetcher.py Transport protocol).  Default stays the
         # broadcast synthetic-graph dict; a real cluster passes
         # HttpTransport() and the whole engine above this line is
         # unchanged (politeness, robots, Bloom, ordering all pinned by
         # the oracle-fidelity tests).
-        self.pages_ref = ray.put(
-            transport
-            if transport is not None
-            else ArrowPagesTransport.from_graph(graph)
-        )
+        super().__init__(graph, config, n_partitions, out_dir, transport)
+        self.seed = seed
+        self.n_walkers = n_walkers
+        self.n_walker_shards = n_walker_shards or min(n_walkers, 8)
 
         seeds_split = split_seeds(graph.seeds, n_walkers)
         S = self.n_walker_shards
         # worker k is walker shard k and partition k.  robots maps are
         # small; every partition gets the full dict (a real deployment
-        # would slice by host-hash — the lookup key is the same).  pages go
-        # once via the broadcast ref (deserialized once per actor).
+        # would slice by host-hash — the lookup key is the same).
         self.workers = [
             CrawlWorker.remote(
                 k,
@@ -382,18 +353,8 @@ class CrawlEngine:
         ]
         self.shards = self.workers[:S]
         self.parts = self.workers[: self.n_partitions]
-        self.round = 0
         self.steps = 0
-        # UNFLUSHED visit rows only: (round, walker, url, host, action,
-        # cached).  With out_dir set, _flush_outputs truncates this list at
-        # every checkpoint, so driver memory is O(checkpoint window), not
-        # O(crawl) — the 10^10-URL north rule's design point.  The URL-seen
-        # set lives in the partition actors (Bloom + corpus buffers) and on
-        # disk (corpus parquet); the driver holds no per-URL state.
-        self.visit_rows: list[tuple] = []
-        self.salt: dict[str, int] = {}      # host → partition overrides
         self.stats = CrawlStats()
-        self._visits_flushed_rows = 0       # rows already in visits parquet
 
     def walk_stack_dump(self) -> "pa.Table":
         """Dump remaining walker stacks (ref: trwalkers.pas:984-996 — the
@@ -401,7 +362,7 @@ class CrawlEngine:
         from texrex_ray.functions.hashing import doc_id_for_url
 
         rows = []
-        for blob in ray.get([s.snapshot_walkers.remote() for s in self.shards]):
+        for blob in self._each("snapshot_walkers", on=self.shards):
             for wid, snap in pickle.loads(blob).items():
                 for depth, (url, links) in enumerate(snap["stack"]):
                     rows.append((wid, depth, url, doc_id_for_url(url),
@@ -421,7 +382,7 @@ class CrawlEngine:
     def metrics_table(self) -> "pa.Table":
         """Per-partition crawl metrics (the texcomm/Dash surface, ref:
         trtexrex.pas:801-873) as an Arrow table."""
-        ms = ray.get([p.get_metrics.remote() for p in self.parts])
+        ms = self._each("get_metrics")
         keys = sorted({k for m in ms for k in m})
         cols = {"partition": pa.array(range(len(ms)), pa.int64())}
         for k in keys:
@@ -437,10 +398,9 @@ class CrawlEngine:
     def control_status(self) -> dict:
         """One dashboard snapshot: progress counters + per-partition and
         walker liveness (texcomm's periodic status line)."""
-        alive = sum(ray.get([s.alive.remote() for s in self.shards]))
-        ms = ray.get([p.get_metrics.remote() for p in self.parts])
+        alive = sum(self._each("alive", on=self.shards))
         totals: Counter = Counter()
-        for m in ms:
+        for m in self._each("get_metrics"):
             totals.update(m)
         return {
             "round": self.round,
@@ -458,7 +418,7 @@ class CrawlEngine:
     def peek(self, n: int = 1) -> list[dict]:
         """Most recent processed documents (clipped), newest last."""
         rows: list[dict] = []
-        for part_rows in ray.get([p.peek_corpus.remote(n) for p in self.parts]):
+        for part_rows in self._each("peek_corpus", n):
             rows.extend(part_rows)
         rows.sort(key=lambda r: (r.get("round", 0), r.get("url", "")))
         return rows[-n:]
@@ -492,25 +452,14 @@ class CrawlEngine:
 
     def reconfigure(self, **changes) -> None:
         """Broadcast config updates to every worker and the driver copy
-        (e.g. max_links_per_step, max_cache, jump probability).  Affects
-        future decisions only (no retroactive state rewrite), like
+        (e.g. max_links_per_step, max_cache, jump probability, politeness).
+        Affects future decisions only (no retroactive state rewrite), like
         texcomm's live queue-resize."""
         for k, v in changes.items():
             if not hasattr(self.cfg, k):
                 raise AttributeError(f"unknown CrawlConfig field: {k}")
             setattr(self.cfg, k, v)
-        ray.get([a.reconfigure.remote(changes) for a in self.workers])
-
-    def shutdown(self) -> None:
-        """Kill the engine's workers: their processes exit and free the
-        memory they hold (pages, walker and partition state, imports).
-
-        With default options an actor holds its CPU only while it is
-        being placed, so idle workers do not block later Dataset stages;
-        they only keep their memory until killed."""
-        for a in self.workers:
-            ray.kill(a)
-        self.workers, self.shards, self.parts = [], [], []
+        self._each("reconfigure", changes, on=self.workers)
 
     # -- skew handling -----------------------------------------------------
 
@@ -518,14 +467,11 @@ class CrawlEngine:
         """Salted repartition of hot frontier shards (host granularity).
 
         Measures per-host fetch load, finds partitions above ``hot_ratio``×
-        the mean, and migrates their heaviest hosts to the least-loaded
-        partitions: politeness state moves exactly; the source partition's
-        URL-seen filter is chained read-only into each destination (first-
-        wins preserved; per-host bits can't leave a Bloom).  Decisions are
-        per-host/per-URL, so visit order is unaffected (tested).  Returns
-        the applied salt map.
+        the mean, and moves their heaviest hosts to the least-loaded
+        partitions (``_move_hosts``).  Decisions are per-host/per-URL, so
+        visit order is unaffected (tested).  Returns the applied salt map.
         """
-        loads = ray.get([p.host_load.remote() for p in self.parts])
+        loads = self._each("host_load")
         totals = np.array([sum(l.values()) for l in loads], dtype=np.float64)
         mean = max(1.0, totals.mean())
         new_salt: dict[str, int] = {}
@@ -533,29 +479,20 @@ class CrawlEngine:
             if totals[p_hot] <= hot_ratio * mean:
                 break
             excess = totals[p_hot] - mean
-            hosts_sorted = sorted(loads[p_hot].items(), key=lambda kv: -kv[1])
-            seen = None
-            chained: set[int] = set()
-            for host, load in hosts_sorted:
+            moves: dict[str, int] = {}
+            for host, load in sorted(loads[p_hot].items(), key=lambda kv: -kv[1]):
                 if excess <= 0:
                     break
                 p_cold = int(np.argmin(totals))
                 if p_cold == p_hot:
                     break
-                state = self.parts[p_hot].export_hosts.remote([host])
-                ray.get(self.parts[p_cold].import_hosts.remote(state))
-                # every destination needs the source's history, not only
-                # the first one (else a moved host re-outputs its URLs)
-                if p_cold not in chained:
-                    if seen is None:
-                        seen = self.parts[p_hot].export_seen.remote()
-                    ray.get(self.parts[p_cold].attach_seen_base.remote(seen))
-                    chained.add(p_cold)
-                new_salt[host] = p_cold
+                moves[host] = p_cold
                 totals[p_hot] -= load
                 totals[p_cold] += load
                 excess -= load
-        self.salt.update(new_salt)
+            if moves:
+                self._move_hosts(int(p_hot), moves)
+                new_salt.update(moves)
         return new_salt
 
     # -- round loop --------------------------------------------------------
@@ -571,26 +508,12 @@ class CrawlEngine:
             if max_rounds is not None and self.round >= max_rounds:
                 break
             prop_futs, made_progress = self._run_round(prop_futs)
-            if checkpoint_every and self.out_dir and self.round % checkpoint_every == 0:
-                self.checkpoint()
-                if keep_checkpoints:
-                    self.prune_checkpoints(keep_checkpoints)
-            if not made_progress:
-                alive = sum(ray.get([s.alive.remote() for s in self.shards]))
-                if alive == 0:
-                    break
+            self._checkpoint_if_due(checkpoint_every, keep_checkpoints)
+            if not made_progress and sum(self._each("alive", on=self.shards)) == 0:
+                break
         self.stats.steps = self.steps
         self.stats.rounds = self.round
-        self.stats.elapsed_sec = time.perf_counter() - t0
-        self.stats.urls_per_sec = (
-            self.steps / self.stats.elapsed_sec if self.stats.elapsed_sec > 0 else 0.0
-        )
-        self.stats.partition_metrics = {
-            p: m for p, m in enumerate(ray.get([a.get_metrics.remote() for a in self.parts]))
-        }
-        if self.out_dir:
-            self._flush_outputs()
-        return self.stats
+        return self._end_run(self.stats, t0, self.steps)
 
     def _run_round(self, prop_futs: list) -> tuple[list, bool]:
         now = self.round
@@ -674,15 +597,11 @@ class CrawlEngine:
                     self.stats.failed += 1
         return next_futs, True
 
-    # -- fixtures ----------------------------------------------------------
+    # -- readers -----------------------------------------------------------
 
-    def visit_order(self) -> list[tuple[int, str, str, str]]:
-        """(seq, url, host, action) ordered by (round, walker_id).
-
-        Reconstructed from the flushed visits parquet plus the in-memory
-        unflushed tail — the driver never holds the whole log."""
-        flushed = commit.read_visits(self.out_dir, VISIT_COLUMNS) if self.out_dir else []
-        rows = sorted(flushed + self.visit_rows, key=lambda r: (r[0], r[1]))
+    def _visit_view(self, rows: list[tuple]) -> list[tuple[int, str, str, str]]:
+        """(seq, url, host, action) ordered by (round, walker_id): a walker
+        visits once per round, so the shell's full-row sort is that order."""
         return [(i + 1, r[2], r[3], r[4]) for i, r in enumerate(rows)]
 
     def url_seen(self) -> set[str]:
@@ -692,85 +611,21 @@ class CrawlEngine:
         sharded Bloom; every accepted URL has exactly one corpus row, either
         already flushed to parquet or still buffered in its partition actor
         (or drained to ``_corpus_local`` by ``collect_corpus``)."""
-        seen = commit.corpus_urls(self.out_dir) if self.out_dir else set()
-        if self.parts:
-            for urls in ray.get([p.buffered_urls.remote() for p in self.parts]):
-                seen.update(urls)
-        seen.update(r["url"] for r in getattr(self, "_corpus_local", []))
-        return seen
+        return self._corpus_urls()
 
-    def collect_corpus(self) -> list[dict]:
-        """Drain corpus rows buffered in the partition actors (accumulates
-        driver-side across calls; for tests/small runs — large runs use
-        ``flush_corpus`` → per-partition parquet instead)."""
-        if not hasattr(self, "_corpus_local"):
-            self._corpus_local: list[dict] = []
-        for rows in ray.get([p.drain_corpus.remote() for p in self.parts]):
-            self._corpus_local.extend(rows)
-        return self._corpus_local
+    # -- checkpoint hooks (the protocol lives in the shell) ----------------
 
-    # -- checkpoint / resume (protocol: state/commit.py) --------------------
-
-    def checkpoint(self) -> str:
-        """Commit walker stacks + RNG, partition state and a lineage
-        manifest as one checkpoint; returns its directory."""
-        assert self.out_dir
-        # flush BEFORE snapshotting so restored corpus buffers are empty
-        # (no double-write after resume)
-        self._flush_outputs()
-        shard_blobs = ray.get([s.snapshot_walkers.remote() for s in self.shards])
-        part_blobs = ray.get([p.snapshot.remote() for p in self.parts])
-        part_metrics = ray.get([p.get_metrics.remote() for p in self.parts])
-        meta = {
-            "round": self.round, "steps": self.steps,
-            "outputs": self.stats.outputs, "n_walkers": self.n_walkers,
-            "n_partitions": self.n_partitions, "n_walker_shards": self.n_walker_shards,
-            "seed": self.seed, "salt": self.salt,
-            **commit.run_inputs(self.graph, self.cfg),
+    def _meta(self) -> dict:
+        return {
+            "steps": self.steps, "outputs": self.stats.outputs,
+            "n_walkers": self.n_walkers, "n_partitions": self.n_partitions,
+            "n_walker_shards": self.n_walker_shards, "seed": self.seed,
         }
-        return commit.write_round(
-            self.out_dir, self.round, meta, part_blobs,
-            [{"metrics": m} for m in part_metrics], shard_blobs,
-        )
-
-    def prune_checkpoints(self, keep_last: int) -> list[str]:
-        """Delete all but the newest ``keep_last`` committed checkpoints
-        (``commit.prune``): at frontier scale each one carries every
-        partition's URL-seen filter, so retention must be bounded.
-        Returns the pruned checkpoint paths."""
-        assert self.out_dir
-        return commit.prune(self.out_dir, keep_last)
-
-    def _flush_outputs(self) -> None:
-        self._visits_flushed_rows += commit.flush_visits(
-            self.out_dir, self.round, self._visits_flushed_rows, self.visit_rows,
-            VISIT_COLUMNS,
-        )
-        self.visit_rows = []  # truncate: driver memory stays O(window)
-        ray.get([p.flush_corpus.remote(self.out_dir, self.round) for p in self.parts])
 
     @classmethod
-    def resume(cls, graph: WebGraph, out_dir: str, config: CrawlConfig | None = None,
-               **kw) -> "CrawlEngine":
-        """Continue from the newest committed checkpoint.  ``config``
-        defaults to the stored one; a given config or graph that differs
-        from the stored one raises ValueError."""
-        ck = commit.latest(out_dir)
-        meta = ck.meta
-        config = config or CrawlConfig(**meta["config"])
-        commit.check_inputs(meta, graph, config)
-        commit.remove_orphans(out_dir, meta["round"])
-        eng = cls(graph, n_walkers=meta["n_walkers"], n_partitions=meta["n_partitions"],
-                  n_walker_shards=meta["n_walker_shards"], seed=meta["seed"],
-                  config=config, out_dir=out_dir, **kw)
-        shard_blobs = ck.blobs("shard", eng.n_walker_shards)
-        part_blobs = ck.blobs("part", eng.n_partitions)
-        # batched: all restores deserialize in parallel
-        ray.get([s.restore_walkers.remote(b) for s, b in zip(eng.shards, shard_blobs)]
-                + [p.restore.remote(b) for p, b in zip(eng.parts, part_blobs)])
-        eng.round = meta["round"]
-        eng.steps = meta["steps"]
-        eng.stats.outputs = meta["outputs"]
-        eng.salt = dict(meta["salt"])
-        eng._visits_flushed_rows = commit.count_visits(out_dir)
-        return eng
+    def _layout(cls, meta: dict) -> dict:
+        return {k: meta[k] for k in ("n_walkers", "n_partitions", "n_walker_shards", "seed")}
+
+    def _restore_counters(self, meta: dict) -> None:
+        self.steps = meta["steps"]
+        self.stats.outputs = meta["outputs"]

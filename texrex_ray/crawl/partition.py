@@ -112,6 +112,10 @@ class PartitionCore:
     def reconfigure(self, changes: dict) -> None:
         for k, v in changes.items():
             setattr(self.cfg, k, v)
+        # the politeness manager holds its own copies of these fields
+        self.pm.min_politeness = self.cfg.min_politeness
+        self.pm.robots_refresh_interval = self.cfg.robots_refresh_interval
+        self.pm.agent = self.cfg.agent
 
     # -- hot-host migration (salted repartition) ---------------------------
 

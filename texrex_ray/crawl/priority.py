@@ -34,16 +34,12 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import ray
 
-from texrex_ray.crawl.engine import partition_of
-from texrex_ray.crawl.fetcher import ArrowPagesTransport, fetch_parse
+from texrex_ray.crawl.fetcher import fetch_parse
 from texrex_ray.crawl.partition import PartitionCore
 from texrex_ray.crawl.policy import CrawlConfig
+from texrex_ray.crawl.shell import EngineShell, partition_of
 from texrex_ray.functions.urlkit import host_of
 from texrex_ray.sources.webgraph import WebGraph
-from texrex_ray.state import commit
-
-# visit-log columns, in the order of the driver's visit_log tuples
-VISIT_COLUMNS = [("round", pa.int64()), ("url", pa.string()), ("host", pa.string())]
 
 
 @dataclass
@@ -195,8 +191,10 @@ class PriorityPartition(PartitionCore):
 PriorityFrontierActor = ray.remote(PriorityPartition)
 
 
-class PriorityCrawlEngine:
+class PriorityCrawlEngine(EngineShell):
     """Round-based degree-biased BFS-style crawler over the priority frontier."""
+
+    VISIT_COLUMNS = [("round", pa.int64()), ("url", pa.string()), ("host", pa.string())]
 
     def __init__(
         self,
@@ -208,26 +206,15 @@ class PriorityCrawlEngine:
         host_scores: dict | None = None,
         out_dir: str | None = None,
     ):
-        self.graph = graph
-        self.cfg = config or CrawlConfig()
-        self.n_partitions = n_partitions
+        super().__init__(graph, config, n_partitions, out_dir)
         self.budget = budget_per_round
-        self.out_dir = out_dir
-        pages_ref = ray.put(ArrowPagesTransport.from_graph(graph))
-        self.parts = [
+        self.workers = self.parts = [
             PriorityFrontierActor.remote(
-                p, graph.robots, pages_ref, self.cfg, host_scores
+                p, graph.robots, self.pages_ref, self.cfg, host_scores
             )
             for p in range(n_partitions)
         ]
-        self.round = 0
         self.fetched = 0  # cumulative across resume (the max_fetches budget)
-        self.salt: dict[str, int] = {}  # host → partition overrides
-        # UNFLUSHED visit rows only; with out_dir set, checkpoints flush
-        # and truncate (driver memory O(checkpoint window), same contract
-        # as CrawlEngine)
-        self.visit_log: list[tuple[int, str, str]] = []  # (round, url, host)
-        self._visits_flushed_rows = 0
         self._route_enqueue([(u, 0) for u in graph.seeds])
 
     def _route_enqueue(self, links: list[tuple[str, int]]) -> int:
@@ -264,13 +251,12 @@ class PriorityCrawlEngine:
                 break
             now = self.round
             self.round += 1
-            peeks = ray.get([p.peek.remote(self.budget, now) for p in self.parts])
+            peeks = self._each("peek", self.budget, now)
             merged: list[tuple[int, tuple[int, int, str]]] = []
             for pid, items in enumerate(peeks):
                 merged.extend((pid, tuple(it)) for it in items)
             if not merged:
-                sizes = ray.get([p.frontier_size.remote() for p in self.parts])
-                if sum(sizes) == 0:
+                if sum(self._each("frontier_size")) == 0:
                     break
                 # everything politeness-deferred this round — still fall
                 # through to the checkpoint-cadence check below (a streak
@@ -290,40 +276,27 @@ class PriorityCrawlEngine:
                     for r in ray.get(res_futs[p]):
                         if r["ok"]:
                             self.fetched += 1
-                            self.visit_log.append((now, r["url"], host_of(r["url"])))
+                            self.visit_rows.append((now, r["url"], host_of(r["url"])))
                         else:
                             stats.failed += 1
                         new_links.extend((u, self.round) for u in r["links"])
                 stats.enqueued += self._route_enqueue(sorted(set(new_links)))
-            if checkpoint_every and self.out_dir and self.round % checkpoint_every == 0:
-                self.checkpoint()
-                if keep_checkpoints:
-                    commit.prune(self.out_dir, keep_checkpoints)
+            self._checkpoint_if_due(checkpoint_every, keep_checkpoints)
         stats.fetched = self.fetched - start_fetched
         stats.rounds = self.round - start_round
-        stats.elapsed_sec = time.perf_counter() - t0
-        stats.urls_per_sec = stats.fetched / stats.elapsed_sec if stats.elapsed_sec else 0.0
-        stats.partition_metrics = {
-            p: m for p, m in enumerate(ray.get([a.get_metrics.remote() for a in self.parts]))
-        }
-        if self.out_dir:
-            self._flush_outputs()
-        return stats
+        return self._end_run(stats, t0, stats.fetched)
 
     def rebalance_hot_partitions(
         self, hot_ratio: float = 2.0, max_hosts: int = 8
     ) -> dict[str, int]:
         """Split hot frontier partitions (heap size > ``hot_ratio`` × mean)
-        by rerouting their heaviest hosts to the currently lightest
-        partition: heap entries, in-degree counters and politeness state
-        migrate, the source's URL-seen history is chained into the target
-        (frozen, read-only), and future links follow the salt map (north
-        rule: skewed hot-host shards split via salted repartition).  The
-        SCHEDULE is invariant: candidate selection is a global merge with
-        per-host dedup, and hosts live in exactly one partition, so where
-        a host's frontier sits affects memory and fetch placement, never
-        visit order (tested).  Returns {host: new_partition}."""
-        sizes = ray.get([p.frontier_size.remote() for p in self.parts])
+        by moving their heaviest hosts, heap entries and in-degree counters
+        included, to the currently lightest partition (``_move_hosts``).
+        The SCHEDULE is invariant: candidate selection is a global merge
+        with per-host dedup, and hosts live in exactly one partition, so
+        where a host's frontier sits affects memory and fetch placement,
+        never visit order (tested).  Returns {host: new_partition}."""
+        sizes = self._each("frontier_size")
         mean = sum(sizes) / max(1, len(sizes))
         moved: dict[str, int] = {}
         if mean <= 0:
@@ -344,84 +317,26 @@ class PriorityCrawlEngine:
                 excess -= cnt
             if not hosts:
                 continue
-            ray.get([
-                self.parts[dst].import_hosts.remote(self.parts[src].export_hosts.remote(hosts)),
-                self.parts[dst].attach_seen_base.remote(self.parts[src].export_seen.remote()),
-            ])
+            self._move_hosts(src, {h: dst for h in hosts})
             n_moved = sum(load[h] for h in hosts)
             sizes[src] -= n_moved
             sizes[dst] += n_moved
-            for h in hosts:
-                self.salt[h] = dst
-                moved[h] = dst
+            moved.update((h, dst) for h in hosts)
         return moved
 
-    # -- checkpoint / resume (protocol: state/commit.py) --------------------
+    # -- checkpoint hooks (the protocol lives in the shell) ----------------
 
-    def _flush_outputs(self) -> None:
-        self._visits_flushed_rows += commit.flush_visits(
-            self.out_dir, self.round, self._visits_flushed_rows, sorted(self.visit_log),
-            VISIT_COLUMNS,
-        )
-        self.visit_log = []
-        ray.get([p.flush_corpus.remote(self.out_dir, self.round) for p in self.parts])
+    def _meta(self) -> dict:
+        return {"fetched": self.fetched, "n_partitions": self.n_partitions,
+                "budget": self.budget}
 
-    def checkpoint(self) -> str:
-        """Commit every partition's frontier heap, degree counters,
-        politeness and URL-seen state plus a lineage manifest as one
-        checkpoint; returns its directory."""
-        assert self.out_dir
-        # flush BEFORE snapshotting so restored corpus buffers are empty
-        self._flush_outputs()
-        blobs = ray.get([p.snapshot.remote() for p in self.parts])
-        metrics = ray.get([p.get_metrics.remote() for p in self.parts])
-        sizes = ray.get([p.frontier_size.remote() for p in self.parts])
-        meta = {
-            "round": self.round, "fetched": self.fetched,
-            "n_partitions": self.n_partitions, "budget": self.budget,
-            "salt": self.salt, **commit.run_inputs(self.graph, self.cfg),
-        }
-        return commit.write_round(
-            self.out_dir, self.round, meta, blobs,
-            [{"metrics": m, "frontier_size": n} for m, n in zip(metrics, sizes)],
-        )
+    def _lineage(self) -> list[dict]:
+        sizes = self._each("frontier_size")
+        return [{**e, "frontier_size": n} for e, n in zip(super()._lineage(), sizes)]
 
     @classmethod
-    def resume(cls, graph: WebGraph, out_dir: str, config: CrawlConfig | None = None,
-               **kw) -> "PriorityCrawlEngine":
-        """Resume from the last COMMITTED checkpoint: orphaned post-commit
-        output files are removed, partition state restored, and a
-        subsequent ``run(max_fetches=N)`` completes the identical crawl
-        (pinned by tests incl. an abrupt actor-kill drill).  ``config``
-        defaults to the stored one; a given config or graph that differs
-        from the stored one raises ValueError."""
-        ck = commit.latest(out_dir)
-        meta = ck.meta
-        config = config or CrawlConfig(**meta["config"])
-        commit.check_inputs(meta, graph, config)
-        commit.remove_orphans(out_dir, meta["round"])
-        eng = cls(graph, n_partitions=meta["n_partitions"], budget_per_round=meta["budget"],
-                  config=config, out_dir=out_dir, **kw)
-        # batched: restores deserialize in parallel
-        ray.get([p.restore.remote(b)
-                 for p, b in zip(eng.parts, ck.blobs("part", eng.n_partitions))])
-        eng.round = meta["round"]
-        eng.fetched = meta["fetched"]
-        eng.salt = dict(meta["salt"])
-        eng._visits_flushed_rows = commit.count_visits(out_dir)
-        return eng
+    def _layout(cls, meta: dict) -> dict:
+        return {"n_partitions": meta["n_partitions"], "budget_per_round": meta["budget"]}
 
-    def visit_order(self) -> list[tuple[int, str, str]]:
-        flushed = commit.read_visits(self.out_dir, VISIT_COLUMNS) if self.out_dir else []
-        return sorted(flushed + self.visit_log)
-
-    def collect_corpus(self) -> list[dict]:
-        out: list[dict] = []
-        for rows in ray.get([p.drain_corpus.remote() for p in self.parts]):
-            out.extend(rows)
-        return out
-
-    def shutdown(self) -> None:
-        for a in self.parts:
-            ray.kill(a)
-        self.parts = []
+    def _restore_counters(self, meta: dict) -> None:
+        self.fetched = meta["fetched"]
